@@ -103,10 +103,15 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest parenthesis nesting accepted: parsing and the tree walks recurse per level.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -165,8 +170,14 @@ class _Parser:
                 raise SemanticError(f"circle bundle base genus must be >= 2, got {genus}")
             return CircleBundle(genus, euler)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
+                )
             self.take("(")
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.take(")")
             return inner
         raise ParseError(

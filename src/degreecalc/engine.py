@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 from . import intset
+from .dsl import print_expr
 from .intset import ALL_INTEGERS, ZERO_ONLY, DegreeSet, UnrepresentableSet
 from .manifold import (
     Circle,
@@ -55,6 +57,15 @@ class NotDecided(Exception):
 
 class EngineInvariantError(AssertionError):
     """Internal soundness check failed (lower exceeded upper)."""
+
+
+# Every rule name a trace entry can carry.
+RULE_NAMES = frozenset(
+    """circle_pair surface_pair circle_bundle_pair constant_map identity_map undetermined
+    connected_sum_source_sum target_summand_intersection pinch_to_submanifold
+    fiberwise_covering_lift disjoint_sum_of_constructions product_of_factor_degrees
+    product_exactness_chain""".split()
+)
 
 
 @dataclass(frozen=True)
@@ -246,35 +257,36 @@ def _n_fold_sum(elems: tuple[int, ...], count: int) -> set[int]:
     return acc
 
 
-def _fold_sumsets(parts: list[DegreeSet]) -> DegreeSet:
-    if any(p.is_empty for p in parts):
+def _fold_sumsets(parts: list[tuple[DegreeSet, int]]) -> DegreeSet:
+    """The sumset of the given sets, each taken with its multiplicity."""
+    if any(p.is_empty for p, _ in parts):
         return intset.EMPTY
-    if any(p.is_all for p in parts):
+    if any(p.is_all for p, _ in parts):
         return ALL_INTEGERS
     acc = {0}
-    for elems, count in Counter(p.elements for p in parts).items():
-        block = _n_fold_sum(elems, count)
+    for p, count in parts:
+        block = _n_fold_sum(p.elements, count)
         acc = {x + y for x in acc for y in block}
     return DegreeSet.finite(acc)
 
 
 def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
-    children = [_bounds(s, n) for s in m.summands]
+    children = [(_bounds(s, n), count) for s, count in m.counts]
     trace: list[RuleApplication] = []
-    for child in children:
+    for child, _ in children:
         trace.extend(child.trace)
 
-    lower = _fold_sumsets([c.lower for c in children])
+    lower = _fold_sumsets([(c.lower, count) for c, count in children])
     pi2 = _pi2_trivial_or_none(n)
     upper: Optional[DegreeSet] = None
-    if pi2 and all(c.upper is not None for c in children):
-        upper = _fold_sumsets([c.upper for c in children])
+    if pi2 and all(c.upper is not None for c, _ in children):
+        upper = _fold_sumsets([(c.upper, count) for c, count in children])
     entry = RuleApplication(
         "connected_sum_source_sum",
         (m, n),
         lower,
         (
-            ("summand_count", len(m.summands)),
+            ("summand_count", sum(count for _, count in m.counts)),
             ("pi2_trivial_target", bool(pi2)),
             ("exact", upper is not None and intset.equals(lower, upper)),
         ),
@@ -342,11 +354,7 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
     # summand, so the degree set embeds in every summand's degree set.
     summand_uppers: list[tuple[ManifoldExpr, object]] = []
     upper: Optional[DegreeSet] = None
-    seen: set[ManifoldExpr] = set()
-    for t in n.summands:
-        if t in seen:
-            continue
-        seen.add(t)
+    for t, _ in n.counts:
         child = _bounds(m, t)
         trace.extend(child.trace)
         summand_uppers.append((t, child.upper if child.upper is not None else "unknown"))
@@ -374,12 +382,10 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
         )
         constructions[(1, _counter_key(s_n))] = (1, s_n, entry)
 
-    for bundle in sorted(set(n.summands), key=sort_key):
+    for bundle, _ in n.counts:
         if not isinstance(bundle, CircleBundle):
             continue
-        rest = s_n.copy()
-        rest[bundle] -= 1
-        rest = +rest
+        rest = s_n - Counter([bundle])
         total_rest = sum(rest.values())
         j = bundle.euler
         if j != 0:
@@ -449,7 +455,7 @@ def _bundle_summands(n: ManifoldExpr) -> list[CircleBundle]:
     if isinstance(n, CircleBundle):
         return [n]
     if isinstance(n, ConnSum):
-        return [s for s in n.summands if isinstance(s, CircleBundle)]
+        return [s for s, _ in n.counts if isinstance(s, CircleBundle)]
     return []
 
 
@@ -509,8 +515,6 @@ def _chain_search(
 def _pairings(
     mf: tuple[ManifoldExpr, ...], nf: tuple[ManifoldExpr, ...]
 ) -> list[list[tuple[ManifoldExpr, ManifoldExpr]]]:
-    from itertools import permutations
-
     mdims = [dimension(f) for f in mf]
     out: list[list[tuple[ManifoldExpr, ManifoldExpr]]] = []
     seen: set[tuple] = set()
@@ -603,8 +607,6 @@ def _product_pair(m: Product, n: Product) -> SetBound:
 
 
 def _jsonable_value(v: object) -> object:
-    from .dsl import print_expr
-
     if isinstance(v, DegreeSet):
         return intset.to_jsonable(v)
     if isinstance(v, (Circle, Surface, CircleBundle, ConnSum, Product)):
@@ -615,8 +617,6 @@ def _jsonable_value(v: object) -> object:
 
 
 def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
-    from .dsl import print_expr
-
     return [
         {
             "rule": e.rule,

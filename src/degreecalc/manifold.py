@@ -3,16 +3,17 @@
 The expression language covers exactly the families the degree calculus
 handles: the circle, closed oriented surfaces, oriented circle bundles over
 hyperbolic surfaces, connected sums, and direct products.  Values are
-immutable and hashable; :func:`normalize` puts them in a canonical form
-(flattened, sorted, singleton sums collapsed) so that structurally equal
-manifolds compare equal.
+immutable and hashable.  A connected sum is stored as the multiset of its
+summands; :func:`normalize` puts expressions in a canonical form (flattened,
+sorted, singleton sums collapsed) so that structurally equal manifolds
+compare equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 
 class MalformedExpr(ValueError):
@@ -57,20 +58,33 @@ class CircleBundle:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConnSum:
-    """Connected sum of equal-dimension manifolds of dimension >= 2."""
+    """Connected sum of equal-dimension manifolds of dimension >= 2.
 
-    summands: tuple["ManifoldExpr", ...]
+    Stored as a multiset: ``counts`` holds each distinct summand once, in
+    :func:`sort_key` order, with its multiplicity.  The constructor takes the
+    summands with repeats, e.g. ``ConnSum((a, b, a))``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.summands:
+    counts: tuple[tuple["ManifoldExpr", int], ...]
+
+    def __init__(self, summands: Iterable["ManifoldExpr"]):
+        counts = Counter(summands)
+        if not counts:
             raise MalformedExpr("connected sum needs at least one summand")
-        dims = {dimension(s) for s in self.summands}
+        dims = {dimension(s) for s in counts}
         if len(dims) > 1:
             raise MalformedExpr(f"connected sum of mixed dimensions {sorted(dims)}")
         if dims == {1}:
             raise MalformedExpr("connected sums of 1-manifolds are not allowed")
+        ordered = sorted(counts.items(), key=lambda item: sort_key(item[0]))
+        object.__setattr__(self, "counts", tuple(ordered))
+
+    @property
+    def summands(self) -> tuple["ManifoldExpr", ...]:
+        """The summands with repeats, in :func:`sort_key` order."""
+        return tuple(s for s, c in self.counts for _ in range(c))
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,7 @@ def dimension(m: ManifoldExpr) -> int:
     if isinstance(m, CircleBundle):
         return 3
     if isinstance(m, ConnSum):
-        return dimension(m.summands[0])
+        return dimension(m.counts[0][0])
     if isinstance(m, Product):
         return sum(dimension(f) for f in m.factors)
     raise MalformedExpr(f"not a manifold expression: {m!r}")
@@ -122,27 +136,26 @@ def sort_key(m: ManifoldExpr) -> tuple:
     if isinstance(m, CircleBundle):
         return (2, (m.base_genus, m.euler), ())
     if isinstance(m, ConnSum):
-        return (3, (), tuple(sort_key(s) for s in m.summands))
+        return (3, (), tuple(k for s, c in m.counts for k in [sort_key(s)] * c))
     return (4, (), tuple(sort_key(f) for f in m.factors))
 
 
 def normalize(m: ManifoldExpr) -> ManifoldExpr:
     """Canonical form: same-kind children flattened, children sorted,
     single-summand connected sums collapsed.  Idempotent, and preserves the
-    multiset of leaves."""
+    multiset of leaves; an input already in canonical form is returned as is."""
     if isinstance(m, (Circle, Surface, CircleBundle)):
         return m
     if isinstance(m, ConnSum):
-        flat: list[ManifoldExpr] = []
-        for s in m.summands:
-            s = normalize(s)
-            if isinstance(s, ConnSum):
-                flat.extend(s.summands)
-            else:
-                flat.append(s)
-        if len(flat) == 1:
-            return flat[0]
-        return ConnSum(tuple(sorted(flat, key=sort_key)))
+        children = tuple((normalize(s), c) for s, c in m.counts)
+        nested = any(isinstance(t, ConnSum) for t, _ in children)
+        if children == m.counts and not nested and sum(c for _, c in children) > 1:
+            return m
+        merged: Counter = Counter()
+        for t, c in children:
+            for u, k in t.counts if isinstance(t, ConnSum) else ((t, 1),):
+                merged[u] += k * c
+        return next(iter(merged)) if merged.total() == 1 else ConnSum(merged.elements())
     if isinstance(m, Product):
         flat = []
         for f in m.factors:
@@ -151,7 +164,8 @@ def normalize(m: ManifoldExpr) -> ManifoldExpr:
                 flat.extend(f.factors)
             else:
                 flat.append(f)
-        return Product(tuple(sorted(flat, key=sort_key)))
+        ordered = tuple(sorted(flat, key=sort_key))
+        return m if ordered == m.factors else Product(ordered)
     raise MalformedExpr(f"not a manifold expression: {m!r}")
 
 
@@ -161,7 +175,7 @@ def summand_multiset(m: ManifoldExpr) -> Counter:
     Non-sums count as a single summand of themselves.
     """
     if isinstance(m, ConnSum):
-        return Counter(m.summands)
+        return Counter(dict(m.counts))
     return Counter({m: 1})
 
 
@@ -177,9 +191,7 @@ def is_pi2_trivial(n: ManifoldExpr) -> bool:
     if isinstance(n, CircleBundle):
         return True
     if isinstance(n, ConnSum):
-        if len(n.summands) == 1:
-            return is_pi2_trivial(n.summands[0])
-        return False
+        return n.counts[0][1] == 1 and len(n.counts) == 1 and is_pi2_trivial(n.counts[0][0])
     raise UnsupportedExpression(f"pi_2 not determined for {type(n).__name__}")
 
 
@@ -198,8 +210,8 @@ def is_product_domination_free(n: ManifoldExpr) -> bool:
         return n.euler != 0
     if isinstance(n, ConnSum):
         return any(
-            isinstance(s, CircleBundle) and s.euler != 0 for s in n.summands
+            isinstance(s, CircleBundle) and s.euler != 0 for s, _ in n.counts
         ) or any(
-            isinstance(s, ConnSum) and is_product_domination_free(s) for s in n.summands
+            isinstance(s, ConnSum) and is_product_domination_free(s) for s, _ in n.counts
         )
     return False

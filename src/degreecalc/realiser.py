@@ -44,6 +44,10 @@ class RealisationFailed(RuntimeError):
     """The construction did not reproduce the requested set (internal error)."""
 
 
+class MalformedCertificate(ValueError):
+    """The certificate is structurally broken (not merely wrong)."""
+
+
 @dataclass(frozen=True)
 class SumsetFamily:
     d: tuple[int, ...]
@@ -182,43 +186,52 @@ def realise_sumset(spec: SumsetFamily) -> Certificate:
 # arithmetic interval sequences
 
 
-def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
-    """Realise a union of equally spaced, equal-length integer intervals.
+def _sumset_family(spec: SumsetFamily | ArithIntervals | SubsetSums) -> SumsetFamily:
+    """The sumset family whose set is the spec's target.
 
-    With [b_k, c_k] the interval containing 0, the family parameters are
-    n_1 = c_k, n'_1 = -b_k, d_2 = b_2 - b_1, n_2 = l - k, n'_2 = k - 1,
-    and the set is the two-term sumset family with d = (1, d_2).
+    For intervals, with [b_k, c_k] the k-th of l intervals and the one
+    containing 0, the family has d = (1, d_2) with d_2 = b_2 - b_1, and
+    n_1 = c_k, n'_1 = -b_k, n_2 = l - k, n'_2 = k - 1.  For subset sums, each
+    non-zero value becomes a one-copy term, its sign absorbed into the
+    multiplicities.
     """
-    k = None
-    for idx, (b, c) in enumerate(spec.bounds):
-        if b <= 0 <= c:
-            k = idx + 1
-            break
+    if isinstance(spec, SumsetFamily):
+        return spec
+    if isinstance(spec, SubsetSums):
+        values = [x for x in spec.d if x != 0]
+        if not values:
+            return SumsetFamily(d=(1,), n=(0,), nprime=(0,))
+        return SumsetFamily(
+            d=tuple(abs(x) for x in values),
+            n=tuple(1 if x > 0 else 0 for x in values),
+            nprime=tuple(0 if x > 0 else 1 for x in values),
+        )
+    bounds = spec.bounds
+    k = next((i + 1 for i, (b, c) in enumerate(bounds) if b <= 0 <= c), None)
     if k is None:
-        raise ZeroNotContained(f"no interval of {spec.bounds} contains 0")
+        raise ZeroNotContained(f"no interval of {bounds} contains 0")
+    b_k, c_k = bounds[k - 1]
+    if len(bounds) == 1:
+        return SumsetFamily(d=(1, 1), n=(c_k, 0), nprime=(-b_k, 0))
+    d2 = bounds[1][0] - bounds[0][0]
+    return SumsetFamily(d=(1, d2), n=(c_k, len(bounds) - k), nprime=(-b_k, k - 1))
 
-    l = len(spec.bounds)
-    b_k, c_k = spec.bounds[k - 1]
-    n1, n1p = c_k, -b_k
-    if l == 1:
-        d2, n2, n2p = 1, 0, 0
-    else:
-        d2 = spec.bounds[1][0] - spec.bounds[0][0]
-        n2, n2p = l - k, k - 1
 
-    family = SumsetFamily(d=(1, d2), n=(n1, n2), nprime=(n1p, n2p))
+def _interval_params(family: SumsetFamily) -> dict[str, int]:
+    """The interval parameters recorded in a certificate, read off its family."""
+    (n1, n2), (n1p, n2p) = family.n, family.nprime
+    return dict(
+        n1=n1, n1prime=n1p, d2=family.d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1
+    )
+
+
+def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
+    """Realise a union of equally spaced, equal-length integer intervals as
+    the two-term sumset family of :func:`_sumset_family`."""
+    family = _sumset_family(spec)
     inner = realise_sumset(family)
     params = dict(inner.params)
-    params.update(
-        {
-            "n1": n1,
-            "n1prime": n1p,
-            "d2": d2,
-            "n2": n2,
-            "n2prime": n2p,
-            "zero_interval_index": k,
-        }
-    )
+    params.update(_interval_params(family))
     expected = DegreeSet.finite(
         x for b, c in spec.bounds for x in range(b, c + 1)
     )
@@ -234,20 +247,11 @@ def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
 
 
 def realise_subset_sums(spec: SubsetSums) -> Certificate:
-    """Realise {sum over S of d_j | S a subset}: each non-zero value becomes
-    a one-copy family term, with sign absorbed into the multiplicities."""
-    values = [x for x in spec.d if x != 0]
-    if not values:
-        family = SumsetFamily(d=(1,), n=(0,), nprime=(0,))
-    else:
-        family = SumsetFamily(
-            d=tuple(abs(x) for x in values),
-            n=tuple(1 if x > 0 else 0 for x in values),
-            nprime=tuple(0 if x > 0 else 1 for x in values),
-        )
-    inner = realise_sumset(family)
+    """Realise {sum over S of d_j | S a subset} as the sumset family of
+    :func:`_sumset_family`."""
+    inner = realise_sumset(_sumset_family(spec))
     params = dict(inner.params)
-    params["dropped_zeros"] = len(spec.d) - len(values)
+    params["dropped_zeros"] = spec.d.count(0)
     return Certificate(spec, inner.target, inner.m, inner.n, params, inner.derivation)
 
 
@@ -419,8 +423,6 @@ def _freeze_details(details: tuple) -> tuple:
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:
-    from .verify import MalformedCertificate
-
     if not isinstance(obj, dict):
         raise MalformedCertificate(f"certificate must be an object, got {type(obj).__name__}")
     try:
@@ -446,8 +448,6 @@ def certificate_from_jsonable(obj: object) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    from .verify import MalformedCertificate
-
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

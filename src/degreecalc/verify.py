@@ -9,17 +9,18 @@ is an explicit error, never a silent truncation.
 
 :func:`check_certificate` accepts a certificate exactly when (a) the
 calculator reproduces its target from (M, N), (b) the family oracle
-reproduces its target from the spec, and (c) the recorded derivation steps
-re-validate: divisibility for bundle pairs, triviality of the second
-homotopy group for connected-sum sums, the domination-freeness and
-kill-summand conditions for product steps, and prime hygiene for the
-geometric family.
+reproduces its target from the spec, and (c) the recorded derivation is
+non-empty, names only rules the calculator has, and its steps re-validate:
+divisibility for bundle pairs, triviality of the second homotopy group for
+connected-sum sums, the domination-freeness and kill-summand conditions for
+product steps, and prime hygiene for the geometric family.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Optional, Sequence
@@ -42,10 +43,14 @@ from .realiser import (
     ArithIntervals,
     Certificate,
     Geometric,
+    InvalidSpec,
+    MalformedCertificate,  # re-exported; the certificate decoder raises it
     SubsetSums,
     SumsetFamily,
     _geometric_blocks,
+    _interval_params,
     _is_prime,
+    _sumset_family,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -54,10 +59,6 @@ ENUM_CAP_ENV = "DEGREECALC_ENUM_CAP"
 
 class EnumerationTooLarge(ValueError):
     """The requested enumeration exceeds the configured cap."""
-
-
-class MalformedCertificate(ValueError):
-    """The certificate is structurally broken (not merely wrong)."""
 
 
 def _resolve_cap(enum_cap: Optional[int]) -> int:
@@ -204,7 +205,10 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
     rule = entry.rule
     where = _Where(entry)
 
-    if rule == "circle_bundle_pair":
+    if rule not in engine.RULE_NAMES:
+        problems.append(f"{where}: unknown rule {rule!r}")
+
+    elif rule == "circle_bundle_pair":
         a, b = entry.inputs
         if not (isinstance(a, CircleBundle) and isinstance(b, CircleBundle)):
             problems.append(f"{where}: inputs are not circle bundles")
@@ -235,8 +239,7 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
 
     elif rule == "pinch_to_submanifold":
         m, n = entry.inputs
-        s_m, s_n = summand_multiset(m), summand_multiset(n)
-        if not all(s_m.get(k, 0) >= v for k, v in s_n.items()):
+        if summand_multiset(n) - summand_multiset(m):
             problems.append(f"{where}: target summands are not a sub-multiset of the source")
 
     elif rule == "fiberwise_covering_lift":
@@ -259,12 +262,9 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
         if s_n.get(bundle, 0) < 1:
             problems.append(f"{where}: covered bundle is not a summand of the target")
             return
-        rest = s_n.copy()
-        rest[bundle] -= 1
-        carrier = {k: v * d for k, v in (+rest).items()}
-        carrier[cover] = carrier.get(cover, 0) + 1
-        s_m = summand_multiset(m)
-        if not all(s_m.get(k, 0) >= v for k, v in carrier.items()):
+        carrier = Counter({k: v * d for k, v in (s_n - Counter([bundle])).items()})
+        carrier[cover] += 1
+        if carrier - summand_multiset(m):
             problems.append(f"{where}: covering source does not embed in the source summands")
 
     elif rule == "target_summand_intersection":
@@ -334,45 +334,18 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
     if isinstance(spec, (SumsetFamily, SubsetSums, ArithIntervals)):
         if not need("d_prime", "d_i_prime", "base_genus"):
             return
-        if isinstance(spec, SumsetFamily):
-            family = spec
-        elif isinstance(spec, SubsetSums):
-            values = [x for x in spec.d if x != 0]
-            family = (
-                SumsetFamily((1,), (0,), (0,))
-                if not values
-                else SumsetFamily(
-                    tuple(abs(x) for x in values),
-                    tuple(1 if x > 0 else 0 for x in values),
-                    tuple(0 if x > 0 else 1 for x in values),
-                )
-            )
-        else:
-            if not need("n1", "n1prime", "d2", "n2", "n2prime", "zero_interval_index"):
+        try:
+            family = _sumset_family(spec)
+        except InvalidSpec as exc:
+            problems.append(f"spec has no realising family: {exc}")
+            return
+        if isinstance(spec, ArithIntervals):
+            expected = _interval_params(family)
+            if not need(*expected):
                 return
-            k = params["zero_interval_index"]
-            if not (isinstance(k, int) and 1 <= k <= len(spec.bounds)):
-                problems.append(f"zero interval index {k!r} out of range")
-                return
-            b_k, c_k = spec.bounds[k - 1]
-            if not (b_k <= 0 <= c_k):
-                problems.append(f"interval {k} = [{b_k}, {c_k}] does not contain 0")
-            if len(spec.bounds) == 1:
-                expected = (c_k, -b_k, 1, 0, 0)
-            else:
-                expected = (
-                    c_k,
-                    -b_k,
-                    spec.bounds[1][0] - spec.bounds[0][0],
-                    len(spec.bounds) - k,
-                    k - 1,
-                )
-            got = tuple(params.get(key) for key in ("n1", "n1prime", "d2", "n2", "n2prime"))
+            got = {key: params[key] for key in expected}
             if got != expected:
                 problems.append(f"interval parameters {got} differ from derived {expected}")
-            family = SumsetFamily(
-                (1, expected[2]), (expected[0], expected[3]), (expected[1], expected[4])
-            )
         d_prime = math.prod(family.d)
         if params["d_prime"] != d_prime:
             problems.append(f"d_prime {params['d_prime']} != {d_prime}")
@@ -439,6 +412,8 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
             raise
         mismatches.append(f"oracle rejected the spec: {exc}")
 
+    if not cert.derivation:
+        mismatches.append("derivation is empty")
     for entry in cert.derivation:
         _recheck_entry(entry, mismatches)
     _check_params(cert, mismatches)

@@ -43,6 +43,12 @@ class TestCompute:
         code, _, _ = run(capsys, "compute", "S1 -> S(2)")
         assert code == 2
 
+    def test_deep_nesting_is_usage_error(self, capsys):
+        deep = "(" * 3000 + "K(2;1)" + ")" * 3000
+        code, _, err = run(capsys, "compute", f"{deep} -> K(2;1)")
+        assert code == 2
+        assert "nested" in err
+
     def test_degree_overflow_is_reported_not_wrapped(self, capsys):
         huge = 2**62
         code, _, err = run(capsys, "compute", f"K(2;1) # K(2;1) -> K(2;{huge})")

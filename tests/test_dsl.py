@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from degreecalc.dsl import ParseError, SemanticError, parse_expr, print_expr
+from degreecalc.dsl import MAX_NESTING, ParseError, SemanticError, parse_expr, print_expr
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
@@ -72,6 +72,14 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_expr("   ")
+
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "K(2;1)" + ")" * MAX_NESTING
+        assert parse_expr(deepest) == K(2, 1)
+        with pytest.raises(ParseError) as err:
+            parse_expr("(" * 3000 + "K(2;1)" + ")" * 3000)
+        assert err.value.line == 1
+        assert err.value.column == MAX_NESTING + 1
 
 
 class TestPrint:

@@ -160,3 +160,38 @@ class TestSummandMultiset:
 
     def test_atom(self):
         assert summand_multiset(K(2, 1)) == {K(2, 1): 1}
+
+
+class TestMultisetRepresentation:
+    def test_order_and_repeats_give_the_same_counts(self):
+        a, b = K(2, 1), K(2, 3)
+        expected = ((a, 2), (b, 1))
+        assert ConnSum((a, b, a)).counts == expected
+        assert ConnSum((b, a, a)).counts == expected
+        assert ConnSum((a, a, b)) == ConnSum((b, a, a))
+
+    def test_nesting_merges_counts_under_normalize(self):
+        a, b = K(2, 1), K(2, 3)
+        nested = ConnSum((a, ConnSum((b, a))))
+        assert normalize(nested).counts == ConnSum((a, a, b)).counts
+        twice = ConnSum((ConnSum((a, b)), ConnSum((b, a))))
+        assert normalize(twice).counts == ((a, 2), (b, 2))
+
+    def test_summands_expand_in_sort_key_order(self):
+        p = Product((CIRCLE, Surface(2)))
+        s = ConnSum((p, K(2, 3), K(2, -1), K(2, 3)))
+        assert s.summands == (K(2, -1), K(2, 3), K(2, 3), p)
+
+    def test_canonical_input_is_returned_as_is(self):
+        s = ConnSum((K(2, 1), K(2, 1), Product((CIRCLE, Surface(2)))))
+        assert normalize(s) is s
+        p = Product((CIRCLE, s))
+        assert normalize(p) is p
+
+    def test_hundreds_of_repeats_are_stored_once(self):
+        s = conn_sum(*[K(2, 5)] * 300, *[K(2, -5)] * 200)
+        assert s.counts == ((K(2, -5), 200), (K(2, 5), 300))
+        assert len(s.summands) == 500
+        assert dimension(s) == 3
+        assert is_product_domination_free(s)
+        assert not is_pi2_trivial(s)

@@ -1,6 +1,7 @@
 """Realisations: constructions, parameters, certificates, invariants."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from degreecalc.realiser import (
     SumsetFamily,
     ZeroNotContained,
     _is_prime,
+    certificate_to_json,
     next_prime,
     realise_arith_intervals,
     realise_geometric,
@@ -192,3 +194,25 @@ class TestNextPrime:
         assert next_prime(10) == 11
         assert next_prime(0) == 2
         assert next_prime(13) == 17
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# Certificates whose JSON was recorded before connected sums were stored as
+# summand multisets; the bytes must not change with the representation.
+GOLDEN_CASES = {
+    "sumset_repeats": lambda: realise_sumset(SumsetFamily((2, 5), (200, 120), (150, 0))),
+    "intervals": lambda: realise_arith_intervals(
+        ArithIntervals(((-6, -4), (-1, 1), (4, 6), (9, 11)))
+    ),
+    "subset_sums": lambda: realise_subset_sums(SubsetSums((-4, 0, 3, 3, 10))),
+    "geometric_2_3": lambda: realise_geometric(Geometric((2, 3))),
+    "geometric_3_3": lambda: realise_geometric(Geometric((3, 3))),
+    "geometric_1_1": lambda: realise_geometric(Geometric((1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_certificate_json_matches_golden_bytes(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert certificate_to_json(GOLDEN_CASES[name]()) + "\n" == expected

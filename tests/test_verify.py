@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from degreecalc import engine
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle
+from degreecalc.manifold import CircleBundle, dimension
 from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
@@ -29,6 +30,8 @@ from degreecalc.verify import (
     check_certificate,
     interval_union,
 )
+
+from conftest import random_expr
 
 fin = DegreeSet.finite
 
@@ -228,3 +231,47 @@ class TestCheckCertificate:
         tampered = certificate_from_json(json.dumps(payload))
         report = check_certificate(tampered)
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda derivation: [],
+            lambda derivation: [dict(derivation[0], rule="made_up_rule")] + derivation[1:],
+        ],
+        ids=["empty_derivation", "unknown_rule"],
+    )
+    def test_fake_derivation_rejected(self, tamper):
+        cert = realise_geometric(Geometric((2,)))
+        payload = json.loads(certificate_to_json(cert))
+        payload["derivation"] = tamper(payload["derivation"])
+        report = check_certificate(certificate_from_json(json.dumps(payload)))
+        assert not report.ok
+        assert any("derivation is empty" in m or "made_up_rule" in m for m in report.mismatches)
+
+    def test_missing_zero_interval_is_a_mismatch(self):
+        cert = realise_arith_intervals(ArithIntervals(((-1, 1), (3, 5))))
+        bad = dataclasses.replace(cert, spec=ArithIntervals(((1, 3), (5, 7))))
+        report = check_certificate(bad)
+        assert not report.ok
+        assert any("contains 0" in m for m in report.mismatches)
+
+
+def _rule_names(trace):
+    return {entry.rule for entry in trace}
+
+
+def test_emitted_rule_names_are_exported():
+    certs = [
+        realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1))),
+        realise_sumset(SumsetFamily((2, 5), (40, 3), (7, 0))),
+        realise_arith_intervals(ArithIntervals(((-2, -1), (0, 1), (2, 3)))),
+        realise_subset_sums(SubsetSums((-2, 0, 3))),
+    ]
+    certs += [realise_geometric(Geometric(d)) for d in [(1,), (1, 1), (2,), (2, 3), (3, 3), (2, 2, 5)]]
+    names = set().union(*(_rule_names(c.derivation) for c in certs))
+    rng = random.Random(46)
+    for _ in range(300):
+        m, n = random_expr(rng), random_expr(rng)
+        if dimension(m) == dimension(n):
+            names |= _rule_names(engine.degree_bounds(m, n).trace)
+    assert names <= engine.RULE_NAMES, names - engine.RULE_NAMES
