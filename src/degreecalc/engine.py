@@ -108,8 +108,7 @@ def _make_bound(
     if lower.is_all:
         upper = ALL_INTEGERS
     if upper is not None and not upper.is_all:
-        allowed = set(upper.elements)
-        if lower.is_all or not all(x in allowed for x in lower.elements):
+        if lower.is_all or not set(upper.elements).issuperset(lower.elements):
             raise EngineInvariantError(
                 f"lower bound {lower} escapes upper bound {upper}"
             )
@@ -245,29 +244,13 @@ def _pi2_trivial_or_none(n: ManifoldExpr) -> Optional[bool]:
         return None
 
 
-def _n_fold_sum(elems: tuple[int, ...], count: int) -> set[int]:
-    """The count-fold iterated sumset of a finite element tuple."""
-    if len(elems) == 2 and 0 in elems:
-        # n copies of {0, d} add up to the progression {0, d, ..., n*d}
-        d = elems[0] or elems[1]
-        return {i * d for i in range(count + 1)}
-    acc = {0}
-    for _ in range(count):
-        acc = {x + y for x in acc for y in elems}
-    return acc
-
-
 def _fold_sumsets(parts: list[tuple[DegreeSet, int]]) -> DegreeSet:
-    """The sumset of the given sets, each taken with its multiplicity."""
-    if any(p.is_empty for p, _ in parts):
-        return intset.EMPTY
-    if any(p.is_all for p, _ in parts):
-        return ALL_INTEGERS
-    acc = {0}
-    for p, count in parts:
-        block = _n_fold_sum(p.elements, count)
-        acc = {x + y for x in acc for y in block}
-    return DegreeSet.finite(acc)
+    """The sumset of the given sets, each taken with its multiplicity.
+
+    Its own function so that a profiler or tracer can time the folding of
+    connected sums apart from the rest of the rule.
+    """
+    return intset.weighted_sumset(parts)
 
 
 def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:

@@ -5,16 +5,24 @@ tuple) or the whole of the integers.  These are the values that degree-set
 computations produce, and every operation here is exact: there is no
 truncation, approximation, or silent wrap-around.
 
-The representation is deliberately naive -- explicit sorted element lists,
-not interval unions -- because every construction in this package yields
-desk-scale sets (at most a few thousand elements) and the module doubles as
-the correctness oracle for everything built on top of it.
+The stored form is always the sorted element tuple, so equality, hashing and
+JSON do not depend on how a set was computed.  Minkowski sums, which connected
+sums of manifolds fold by the hundreds, go through one kernel,
+:func:`weighted_sumset`: inside it a finite set with minimum ``lo`` becomes
+the Python integer ``sum(1 << (x - lo))``, and adding a set is a shift-OR of
+the denser mask once for each element of the sparser one.  Sets whose span is
+large compared with their size stay element tuples and add pairwise, so a
+mask never grows far beyond the pairwise work it replaces.
+:func:`naive_sumset` keeps the plain pairwise sum as the reference that tests
+compare the kernel against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count
+from math import gcd
 from typing import Iterable, Iterator
 
 INT64_MIN = -(2**63)
@@ -112,11 +120,121 @@ ZERO_ONLY = DegreeSet.finite((0,))
 
 def sumset(a: DegreeSet, b: DegreeSet) -> DegreeSet:
     """Minkowski sum {x + y | x in a, y in b}."""
+    return weighted_sumset(((a, 1), (b, 1)))
+
+
+def naive_sumset(a: DegreeSet, b: DegreeSet) -> DegreeSet:
+    """:func:`sumset` by enumerating every pair: the reference for tests."""
     if a.is_empty or b.is_empty:
         return EMPTY
     if a.is_all or b.is_all:
         return ALL_INTEGERS
     return DegreeSet.finite(x + y for x in a.elements for y in b.elements)
+
+
+def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
+    """The Minkowski sum of the given sets, each added to itself count times.
+
+    A part with count 0 contributes {0}.  Otherwise an empty part makes the
+    sum empty, and all of Z makes it all of Z.  The endpoints of the result
+    are checked against the 64-bit range before any work is done.
+    """
+    parts = [(p.elements, n) for p, n in parts if n]
+    if any(p == () for p, _ in parts):
+        return EMPTY
+    if any(p is None for p, _ in parts):
+        return ALL_INTEGERS
+    lo = _check_element(sum(n * p[0] for p, n in parts))
+    _check_element(sum(n * p[-1] for p, n in parts))
+    # Every part is p[0] + step * h * r with r >= 0 and gcd(r) = 1, so an
+    # arithmetic progression of any step folds as the interval r it scales.
+    step = gcd(*(x - p[0] for p, _ in parts for x in p)) or 1
+    acc: _Shape = 1  # the mask of {0}; a one-element part only moves lo
+    for p, n in parts:
+        if len(p) == 1:
+            continue
+        r = tuple((x - p[0]) // step for x in p)
+        h = gcd(*r)
+        block = _n_fold(tuple(x // h for x in r) if h > 1 else r, n)
+        if h > 1:
+            block = tuple(x * h for x in _elements(block))
+        acc = block if acc == 1 else _add(acc, block)
+    return DegreeSet(_elements(acc, lo, step))
+
+
+# Kernel values are sets of non-negative integers containing 0, held either
+# as a bit mask (bit x set for each element x) or as a sorted element tuple.
+_Shape = int | tuple[int, ...]
+_BYTES_OF_BITS = bytes.maketrans(b"01", b"\0\1")
+_BITS_OF_BYTES = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte x is 1 when bit x of the mask is set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_BYTES_OF_BITS)
+
+
+def _elements(v: _Shape, lo: int = 0, step: int = 1) -> tuple[int, ...]:
+    """The set lo + step * v as a sorted tuple."""
+    if isinstance(v, int):
+        f = _flags(v)
+        return tuple(compress(range(lo, lo + step * len(f), step), f))
+    if lo or step != 1:
+        return tuple(lo + step * x for x in v)
+    return v
+
+
+def _mask(v: _Shape) -> int:
+    """The bit mask of a kernel value."""
+    if isinstance(v, int):
+        return v
+    flags = bytearray(v[-1] + 1)
+    for x in v:
+        flags[x] = 1
+    return int(flags.translate(_BITS_OF_BYTES)[::-1], 2)
+
+
+def _size(v: _Shape) -> int:
+    return v.bit_count() if isinstance(v, int) else len(v)
+
+
+def _top(v: _Shape) -> int:
+    return v.bit_length() - 1 if isinstance(v, int) else v[-1]
+
+
+def _add(a: _Shape, b: _Shape) -> _Shape:
+    """a + b, as a mask when its span is below the number of element pairs.
+
+    Below that span the shift-OR sum costs no more than visiting every pair.
+    Above it the pairwise sum is cheaper, and a wide, sparse span such as
+    {0, 10**12} + {0, 3 * 10**12} would not fit in memory as a mask.
+    """
+    if _top(a) + _top(b) >= _size(a) * _size(b):
+        a, b = _elements(a), _elements(b)
+        return tuple(sorted({x + y for x in a for y in b}))
+    a, b = _mask(a), _mask(b)
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    for shift in compress(count(), _flags(a)):
+        out |= b << shift
+    return out
+
+
+def _n_fold(v: tuple[int, ...], n: int) -> _Shape:
+    """v + v + ... + v (n >= 1 copies)."""
+    if len(v) == v[-1] + 1:
+        # n copies of the interval [0, t] add up to the interval [0, n * t]
+        return (1 << (n * v[-1] + 1)) - 1
+    acc: _Shape = 1
+    part: _Shape = v
+    while True:
+        if n & 1:
+            acc = part if acc == 1 else _add(acc, part)
+        n >>= 1
+        if not n:
+            return acc
+        part = _add(part, part)
 
 
 def product_set(a: DegreeSet, b: DegreeSet) -> DegreeSet:

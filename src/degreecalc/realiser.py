@@ -405,7 +405,7 @@ def certificate_to_json(cert: Certificate) -> str:
 def _entry_from_jsonable(obj: dict) -> RuleApplication:
     inputs = tuple(parse_expr(s) for s in obj.get("inputs", []))
     produced = intset.from_jsonable(obj["produced"])
-    details = tuple(sorted(obj.get("details", {}).items()))
+    details = tuple(obj.get("details", {}).items())
     return RuleApplication(obj["rule"], inputs, produced, _freeze_details(details))
 
 
@@ -416,7 +416,7 @@ def _freeze_details(details: tuple) -> tuple:
         if isinstance(v, dict):
             if v.get("kind") in ("finite", "all_integers"):
                 return intset.from_jsonable(v)
-            return tuple(sorted((k, freeze(x)) for k, x in v.items()))
+            return tuple((k, freeze(x)) for k, x in v.items())
         return v
 
     return tuple((k, freeze(v)) for k, v in details)

@@ -13,7 +13,10 @@ reproduces its target from the spec, and (c) the recorded derivation is
 non-empty, names only rules the calculator has, and its steps re-validate:
 divisibility for bundle pairs, triviality of the second homotopy group for
 connected-sum sums, the domination-freeness and kill-summand conditions for
-product steps, and prime hygiene for the geometric family.
+product steps, and prime hygiene for the geometric family.  The recorded
+parameters must also rebuild M and N: for the sumset, interval and subset-sum
+families, N is the bundle K(g; d') over the recorded base genus g and M has
+exactly the summands the family's multiplicities call for.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .engine import NotDecided, RuleApplication, SetBound, degree_bounds
 from .intset import ZERO_ONLY, DegreeSet
 from .manifold import (
     CircleBundle,
+    ConnSum,
     ManifoldExpr,
     Product,
     UnsupportedExpression,
@@ -351,6 +355,7 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
             problems.append(f"d_prime {params['d_prime']} != {d_prime}")
         if list(params["d_i_prime"]) != [d_prime // x for x in family.d]:
             problems.append("d_i_prime inconsistent with the family values")
+        _check_sumset_manifolds(cert, family, d_prime, problems)
 
     elif isinstance(spec, Geometric):
         if not need("q", "d_core", "base_genus", "max_d"):
@@ -383,6 +388,46 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
             en = normalize(Product(tuple(b[1] for b in blocks)))
         if em != cert.m or en != cert.n:
             problems.append("manifolds do not match the construction for these parameters")
+
+
+def _check_sumset_manifolds(
+    cert: Certificate, family: SumsetFamily, d_prime: int, problems: list[str]
+) -> None:
+    """M and N must be the sumset construction for the recorded base genus:
+    N = K(g; d'), and M has n_i summands K(g; d'/d_i) and n'_i summands
+    K(g; -d'/d_i), or is K(g; d' + 1) when every multiplicity is 0.
+
+    Summands are counted by Euler number in plain dicts, without building
+    the expected M or a Counter: this runs for every certificate checked.
+    """
+    genus = cert.params["base_genus"]
+    if not (isinstance(genus, int) and genus >= 2):
+        problems.append(f"base genus {genus!r} is not hyperbolic")
+        return
+    if cert.n != CircleBundle(genus, d_prime):
+        problems.append(f"target is not the bundle K({genus};{d_prime})")
+    expected: dict[int, int] = {}
+    for d, n, nprime in zip(family.d, family.n, family.nprime):
+        for euler, k in ((d_prime // d, n), (-(d_prime // d), nprime)):
+            if k:
+                expected[euler] = expected.get(euler, 0) + k
+    c = cert.params.get("degenerate_euler")
+    if expected:
+        # a summand that is not a bundle over the base genus counts under None
+        m = cert.m
+        found: dict[Optional[int], int] = {}
+        for s, k in m.counts if isinstance(m, ConnSum) else ((m, 1),):
+            key = s.euler if isinstance(s, CircleBundle) and s.base_genus == genus else None
+            found[key] = found.get(key, 0) + k
+        if found != expected:
+            problems.append("source summands do not match the family multiplicities")
+        if "degenerate_euler" in cert.params:
+            problems.append(f"degenerate_euler {c!r} recorded for a family with summands")
+        return
+    if c != d_prime + 1:
+        problems.append(f"degenerate_euler {c!r} != d_prime + 1 = {d_prime + 1}")
+    if cert.m != CircleBundle(genus, d_prime + 1):
+        problems.append(f"source is not the bundle K({genus};{d_prime + 1})")
 
 
 def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Report:

@@ -1,6 +1,7 @@
 """Command-line behavior: flows, exit codes, output stability."""
 
 import json
+import time
 
 from degreecalc.cli import main
 
@@ -54,6 +55,15 @@ class TestCompute:
         code, _, err = run(capsys, "compute", f"K(2;1) # K(2;1) -> K(2;{huge})")
         assert code == 2
         assert "64-bit" in err
+
+    def test_wide_sparse_sum_answers_quickly(self, capsys):
+        # a bit mask over this span would need 4 * 10**12 bits
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "compute", "K(2;1) # K(2;3) -> K(2;3000000000000)")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[0] == "exact {0, 1000000000000, 3000000000000, 4000000000000}"
+        assert elapsed < 1.0
 
 
 class TestRealize:

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from degreecalc import engine
 from degreecalc.dsl import parse_expr
 from degreecalc.engine import (
     DimensionMismatch,
@@ -11,7 +14,7 @@ from degreecalc.engine import (
     degree_bounds,
     degree_set_exact,
 )
-from degreecalc.intset import DegreeSet
+from degreecalc.intset import ALL_INTEGERS, EMPTY, ZERO_ONLY, DegreeSet, naive_sumset
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
@@ -145,6 +148,26 @@ class TestSourceSumOracle:
                 expected = {x + y for x in expected for y in step}
             m = conn_sum(*(K(2, e) for e in eulers)) if len(eulers) > 1 else K(2, eulers[0])
             assert degree_set_exact(m, K(2, target)) == fin(expected), (eulers, target)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.lists(st.integers(min_value=-30, max_value=30), max_size=5).map(fin),
+                    st.just(EMPTY),
+                    st.just(ALL_INTEGERS),
+                ),
+                st.integers(min_value=1, max_value=12),
+            ),
+            max_size=4,
+        )
+    )
+    def test_fold_matches_pairwise_oracle(self, parts):
+        expected = ZERO_ONLY
+        for p, count in parts:
+            for _ in range(count):
+                expected = naive_sumset(expected, p)
+        assert engine._fold_sumsets(parts) == expected
 
 
 class TestTargetConnectedSum:

@@ -8,6 +8,7 @@ from degreecalc import intset
 from degreecalc.intset import (
     ALL_INTEGERS,
     EMPTY,
+    ZERO_ONLY,
     DegreeSet,
     IntegerOverflow,
     InvalidInterval,
@@ -16,10 +17,12 @@ from degreecalc.intset import (
     equals,
     interval,
     intersect,
+    naive_sumset,
     negate,
     product_set,
     sumset,
     union,
+    weighted_sumset,
 )
 
 fin = DegreeSet.finite
@@ -32,8 +35,27 @@ nonempty_sets = st.lists(
 ).map(fin)
 
 
+# Sets at several scales: dense ones, progressions with a common step, and
+# wide, sparse ones whose span is far beyond their size.
+scaled_sets = st.builds(
+    lambda xs, k: fin(x * k for x in xs),
+    st.lists(st.integers(min_value=-12, max_value=12), min_size=0, max_size=7),
+    st.sampled_from([1, 1, 2, 7, 10**12]),
+)
+any_sets = st.one_of(scaled_sets, st.just(EMPTY), st.just(ALL_INTEGERS))
+
+
 def brute_pairs(a, b, op):
     return fin(op(x, y) for x in a.elements for y in b.elements)
+
+
+def reference_fold(parts):
+    """Each set added to the running sum count times, by the pairwise oracle."""
+    acc = ZERO_ONLY
+    for p, n in parts:
+        for _ in range(n):
+            acc = naive_sumset(acc, p)
+    return acc
 
 
 class TestSumset:
@@ -72,6 +94,46 @@ class TestSumset:
         s = sumset(a, b)
         assert max(len(a.elements), len(b.elements)) <= len(s.elements)
         assert len(s.elements) <= len(a.elements) * len(b.elements)
+
+
+class TestSumKernel:
+    """The shift-OR kernel against the pairwise oracle."""
+
+    @given(any_sets, any_sets)
+    def test_sumset_matches_naive(self, a, b):
+        assert sumset(a, b) == naive_sumset(a, b)
+
+    @given(any_sets, st.integers(min_value=0, max_value=9))
+    def test_n_fold_matches_naive(self, a, n):
+        assert weighted_sumset([(a, n)]) == reference_fold([(a, n)])
+
+    @given(st.lists(st.tuples(any_sets, st.integers(min_value=0, max_value=5)), max_size=4))
+    def test_weighted_fold_matches_naive(self, parts):
+        assert weighted_sumset(parts) == reference_fold(parts)
+
+    def test_count_zero_contributes_zero(self):
+        assert weighted_sumset([(EMPTY, 0), (ALL_INTEGERS, 0)]) == ZERO_ONLY
+        assert weighted_sumset([]) == ZERO_ONLY
+
+    def test_wide_sparse_span(self):
+        t = 10**12
+        assert sumset(fin([0, t]), fin([0, 3 * t])) == fin([0, t, 3 * t, 4 * t])
+        assert sumset(fin([0, 1, t]), fin([0, 1, 3 * t])) == fin(
+            [0, 1, 2, t, t + 1, 3 * t, 3 * t + 1, 4 * t]
+        )
+
+    def test_long_progression_with_a_wide_step(self):
+        t = 10**12
+        assert weighted_sumset([(fin([0, t]), 5000), (fin([0, 1]), 1)]) == fin(
+            [k * t + e for k in range(5001) for e in (0, 1)]
+        )
+
+    def test_overflow_is_found_before_the_sum_is_built(self):
+        # a mask for this sum would need 2**64 bits
+        with pytest.raises(IntegerOverflow):
+            weighted_sumset([(fin([0, 1]), 2**64)])
+        with pytest.raises(IntegerOverflow):
+            weighted_sumset([(fin([-1, 0]), 2**64)])
 
 
 class TestProductSet:

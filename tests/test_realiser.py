@@ -1,10 +1,12 @@
 """Realisations: constructions, parameters, certificates, invariants."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from degreecalc import engine
 from degreecalc.dsl import print_expr
 from degreecalc.engine import degree_set_exact
 from degreecalc.intset import DegreeSet
@@ -17,6 +19,7 @@ from degreecalc.realiser import (
     SumsetFamily,
     ZeroNotContained,
     _is_prime,
+    certificate_from_json,
     certificate_to_json,
     next_prime,
     realise_arith_intervals,
@@ -95,6 +98,17 @@ class TestSumsetRealisation:
             cert = realise_sumset(spec)
             assert degree_set_exact(cert.m, cert.n) == cert.target
             assert normalize(cert.m) == cert.m and normalize(cert.n) == cert.n
+
+    def test_long_ladder_within_budget(self):
+        # 15,000 summands in three groups: a pairwise fold visits about
+        # 3 * 10**8 element pairs here
+        engine.clear_cache()
+        start = time.perf_counter()
+        cert = realise_sumset(SumsetFamily((3, 7), (5000, 5000), (5000, 0)))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"k=5000 sumset ladder took {elapsed:.2f}s"
+        elements = cert.target.elements
+        assert (elements[0], elements[-1], len(elements)) == (-15000, 50000, 64989)
 
 
 class TestIntervalRealisation:
@@ -216,3 +230,9 @@ GOLDEN_CASES = {
 def test_certificate_json_matches_golden_bytes(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert certificate_to_json(GOLDEN_CASES[name]()) + "\n" == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_certificate_json_round_trip_keeps_bytes(name):
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert certificate_to_json(certificate_from_json(text)) + "\n" == text

@@ -8,7 +8,7 @@ import pytest
 
 from degreecalc import engine
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle, dimension
+from degreecalc.manifold import CircleBundle, conn_sum, dimension
 from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
@@ -247,6 +247,30 @@ class TestCheckCertificate:
         report = check_certificate(certificate_from_json(json.dumps(payload)))
         assert not report.ok
         assert any("derivation is empty" in m or "made_up_rule" in m for m in report.mismatches)
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1))),
+            realise_sumset(SumsetFamily((2,), (0,), (0,))),
+            realise_arith_intervals(ArithIntervals(((-1, 1),))),
+            realise_subset_sums(SubsetSums((-2, 0, 3))),
+        ],
+        ids=["sumset", "degenerate_sumset", "single_interval", "subset_sums"],
+    )
+    @pytest.mark.parametrize("field, value", [("base_genus", 7), ("degenerate_euler", 999)])
+    def test_tampered_family_params_rejected(self, cert, field, value):
+        assert check_certificate(cert).ok
+        bad = dataclasses.replace(cert, params={**cert.params, field: value})
+        report = check_certificate(bad)
+        assert not report.ok
+        assert any(field in m or "K(" in m for m in report.mismatches)
+
+    def test_source_summands_must_match_family(self):
+        cert = realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1)))
+        bad = dataclasses.replace(cert, m=conn_sum(CircleBundle(2, 1), CircleBundle(2, 3)))
+        report = check_certificate(bad)
+        assert "source summands do not match the family multiplicities" in report.mismatches
 
     def test_missing_zero_interval_is_a_mismatch(self):
         cert = realise_arith_intervals(ArithIntervals(((-1, 1), (3, 5))))
