@@ -262,7 +262,9 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
     lower = _fold_sumsets([(c.lower, count) for c, count in children])
     pi2 = _pi2_trivial_or_none(n)
     upper: Optional[DegreeSet] = None
-    if pi2 and all(c.upper is not None for c, _ in children):
+    if pi2 and all(c.exact for c, _ in children):
+        upper = lower
+    elif pi2 and all(c.upper is not None for c, _ in children):
         upper = _fold_sumsets([(c.upper, count) for c, count in children])
     entry = RuleApplication(
         "connected_sum_source_sum",
@@ -280,19 +282,6 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
 
 # ---------------------------------------------------------------------------
 # connected sums in the target: pinch upper bounds, covering lower bounds
-
-
-def _positive_divisors(j: int) -> list[int]:
-    j = abs(j)
-    small, large = [], []
-    d = 1
-    while d * d <= j:
-        if j % d == 0:
-            small.append(d)
-            if d != j // d:
-                large.append(j // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _counter_fits(c: Counter, capacity: Counter) -> bool:
@@ -372,7 +361,16 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
         total_rest = sum(rest.values())
         j = bundle.euler
         if j != 0:
-            candidates = _positive_divisors(j)
+            # a degree-d lift needs K(g; j/d) among the source summands
+            candidates = {
+                j // s.euler
+                for s in s_m
+                if isinstance(s, CircleBundle)
+                and s.base_genus == bundle.base_genus
+                and s.euler != 0
+                and j % s.euler == 0
+                and j // s.euler > 0
+            }
         elif total_rest > 0:
             candidates = list(range(1, (total_m - 1) // total_rest + 1))
         else:
@@ -603,7 +601,7 @@ def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
     return [
         {
             "rule": e.rule,
-            "inputs": [print_expr(x) for x in e.inputs],
+            "inputs": [_jsonable_value(x) for x in e.inputs],
             "produced": intset.to_jsonable(e.produced),
             "details": {k: _jsonable_value(v) for k, v in e.details},
         }

@@ -14,7 +14,9 @@ Four families of target sets are supported:
 Every realisation returns a :class:`Certificate` whose derivation is the
 calculator's own trace; building one re-runs the calculator and demands an
 exact answer equal to the constructed target, so a certificate cannot be
-produced unless construction and calculus agree.
+produced unless construction and calculus agree.  A certificate decoded from
+JSON keeps its derivation as recorded: step inputs and expressions inside
+step details stay text, for the checker to compare with a fresh trace.
 """
 
 from __future__ import annotations
@@ -369,19 +371,25 @@ def spec_to_jsonable(spec: RealisationSpec) -> dict:
     raise TypeError(f"not a realisation spec: {spec!r}")
 
 
+def _ints(v: object) -> tuple[int, ...]:
+    if not (isinstance(v, list) and all(type(x) is int for x in v)):
+        raise ValueError(f"expected a list of integers, got {v!r}")
+    return tuple(v)
+
+
 def spec_from_jsonable(obj: object) -> RealisationSpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError(f"not a serialized realisation spec: {obj!r}")
     variant = obj["variant"]
     try:
         if variant == "sumset_family":
-            return SumsetFamily(tuple(obj["d"]), tuple(obj["n"]), tuple(obj["nprime"]))
+            return SumsetFamily(_ints(obj["d"]), _ints(obj["n"]), _ints(obj["nprime"]))
         if variant == "arith_intervals":
-            return ArithIntervals(tuple((int(b), int(c)) for b, c in obj["bounds"]))
+            return ArithIntervals(tuple(_ints(b) for b in obj["bounds"]))
         if variant == "subset_sums":
-            return SubsetSums(tuple(obj["d"]))
+            return SubsetSums(_ints(obj["d"]))
         if variant == "geometric":
-            return Geometric(tuple(obj["d"]))
+            return Geometric(_ints(obj["d"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed spec payload: {obj!r}") from exc
     raise ValueError(f"unknown spec variant: {variant!r}")
@@ -403,23 +411,12 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def _entry_from_jsonable(obj: dict) -> RuleApplication:
-    inputs = tuple(parse_expr(s) for s in obj.get("inputs", []))
+    inputs = obj.get("inputs", [])
+    if not (isinstance(inputs, list) and all(isinstance(x, str) for x in inputs)):
+        raise MalformedCertificate(f"derivation inputs must be expression texts, got {inputs!r}")
     produced = intset.from_jsonable(obj["produced"])
     details = tuple(obj.get("details", {}).items())
-    return RuleApplication(obj["rule"], inputs, produced, _freeze_details(details))
-
-
-def _freeze_details(details: tuple) -> tuple:
-    def freeze(v: object) -> object:
-        if isinstance(v, list):
-            return tuple(freeze(x) for x in v)
-        if isinstance(v, dict):
-            if v.get("kind") in ("finite", "all_integers"):
-                return intset.from_jsonable(v)
-            return tuple((k, freeze(x)) for k, x in v.items())
-        return v
-
-    return tuple((k, freeze(v)) for k, v in details)
+    return RuleApplication(obj["rule"], tuple(inputs), produced, details)
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:

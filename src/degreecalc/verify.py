@@ -9,14 +9,15 @@ is an explicit error, never a silent truncation.
 
 :func:`check_certificate` accepts a certificate exactly when (a) the
 calculator reproduces its target from (M, N), (b) the family oracle
-reproduces its target from the spec, and (c) the recorded derivation is
-non-empty, names only rules the calculator has, and its steps re-validate:
-divisibility for bundle pairs, triviality of the second homotopy group for
-connected-sum sums, the domination-freeness and kill-summand conditions for
-product steps, and prime hygiene for the geometric family.  The recorded
-parameters must also rebuild M and N: for the sumset, interval and subset-sum
-families, N is the bundle K(g; d') over the recorded base genus g and M has
-exactly the summands the family's multiplicities call for.
+reproduces its target from the spec, and (c) the recorded derivation equals
+the calculator's trace for (M, N) step for step, and that trace's steps
+re-validate: closed forms for bundle pairs, summand containment for pinches
+and covering lifts, second homotopy groups for connected-sum sums, and the
+domination-freeness and kill-summand conditions for product steps.  The
+recorded parameters must also rebuild M and N: prime hygiene for the
+geometric family, and for the sumset, interval and subset-sum families, N is
+K(g; d') over the recorded base genus g and M has exactly the summands the
+family's multiplicities call for.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import product as iter_product, zip_longest
 from typing import Optional, Sequence
 
 from . import engine, intset
-from .dsl import parse_expr, print_expr
-from .engine import NotDecided, RuleApplication, SetBound, degree_bounds
+from .dsl import print_expr
+from .engine import RuleApplication, SetBound, degree_bounds
 from .intset import ZERO_ONLY, DegreeSet
 from .manifold import (
     CircleBundle,
     ConnSum,
-    ManifoldExpr,
     Product,
     UnsupportedExpression,
     is_pi2_trivial,
@@ -182,12 +182,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _as_expr(v: object) -> ManifoldExpr:
-    if isinstance(v, str):
-        return parse_expr(v)
-    return v  # type: ignore[return-value]
-
-
 def _closed_form_bundles(a: CircleBundle, b: CircleBundle) -> DegreeSet:
     if b.euler % a.euler == 0:
         return DegreeSet.finite((0, b.euler // a.euler))
@@ -209,10 +203,7 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
     rule = entry.rule
     where = _Where(entry)
 
-    if rule not in engine.RULE_NAMES:
-        problems.append(f"{where}: unknown rule {rule!r}")
-
-    elif rule == "circle_bundle_pair":
+    if rule == "circle_bundle_pair":
         a, b = entry.inputs
         if not (isinstance(a, CircleBundle) and isinstance(b, CircleBundle)):
             problems.append(f"{where}: inputs are not circle bundles")
@@ -249,8 +240,8 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
     elif rule == "fiberwise_covering_lift":
         m, n = entry.inputs
         d = entry.detail("degree")
-        bundle = _as_expr(entry.detail("target_bundle"))
-        cover = _as_expr(entry.detail("cover_bundle"))
+        bundle = entry.detail("target_bundle")
+        cover = entry.detail("cover_bundle")
         if not (isinstance(bundle, CircleBundle) and isinstance(cover, CircleBundle)):
             problems.append(f"{where}: covering data is not a pair of bundles")
             return
@@ -275,8 +266,7 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
         m, n = entry.inputs
         recorded = entry.detail("summand_uppers", ())
         acc: Optional[DegreeSet] = None
-        for t_raw, upper_raw in recorded:
-            t = _as_expr(t_raw)
+        for t, upper_raw in recorded:
             fresh = degree_bounds(m, t).upper
             if upper_raw == "unknown":
                 if fresh is not None:
@@ -293,7 +283,7 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
             problems.append(f"{where}: produced {entry.produced} is not the intersection {acc}")
 
     elif rule == "product_exactness_chain":
-        order = [(_as_expr(a), _as_expr(b)) for a, b in entry.detail("order", ())]
+        order = entry.detail("order", ())
         if not order:
             problems.append(f"{where}: no factor order recorded")
             return
@@ -352,26 +342,30 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
                 problems.append(f"interval parameters {got} differ from derived {expected}")
         d_prime = math.prod(family.d)
         if params["d_prime"] != d_prime:
-            problems.append(f"d_prime {params['d_prime']} != {d_prime}")
-        if list(params["d_i_prime"]) != [d_prime // x for x in family.d]:
-            problems.append("d_i_prime inconsistent with the family values")
+            problems.append(f"d_prime {params['d_prime']!r} != {d_prime}")
+        if params["d_i_prime"] != [d_prime // x for x in family.d]:
+            problems.append(
+                f"d_i_prime {params['d_i_prime']!r} inconsistent with the family values"
+            )
         _check_sumset_manifolds(cert, family, d_prime, problems)
 
     elif isinstance(spec, Geometric):
         if not need("q", "d_core", "base_genus", "max_d"):
             return
-        qs = list(params["q"])
-        core = list(params["d_core"])
+        qs = params["q"]
+        core = [x for x in spec.d if x > 1] or [1]
         genus = params["base_genus"]
-        expected_core = [x for x in spec.d if x > 1] or [1]
-        if core != expected_core:
-            problems.append(f"d_core {core} differs from derived {expected_core}")
+        if params["d_core"] != core:
+            problems.append(f"d_core {params['d_core']!r} differs from derived {core}")
         if params["max_d"] != max(spec.d):
-            problems.append(f"max_d {params['max_d']} != {max(spec.d)}")
+            problems.append(f"max_d {params['max_d']!r} != {max(spec.d)}")
+        if not (isinstance(qs, list) and all(type(q) is int for q in qs)):
+            problems.append(f"q {qs!r} is not a list of integers")
+            return
         if len(qs) != len(core):
             problems.append("one prime per block is required")
             return
-        if not all(isinstance(q, int) and _is_prime(q) for q in qs):
+        if not all(_is_prime(q) for q in qs):
             problems.append(f"q values {qs} are not all prime")
         if any(a >= b for a, b in zip(qs, qs[1:])):
             problems.append(f"q values {qs} are not strictly ascending")
@@ -434,18 +428,13 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
     """Re-derive a certificate from scratch and report every discrepancy."""
     mismatches: list[str] = []
 
-    engine_bound: Optional[SetBound] = None
-    try:
-        engine_bound = degree_bounds(cert.m, cert.n)
-        if not engine_bound.exact:
-            mismatches.append("calculator does not decide the pair exactly")
-        elif not intset.equals(engine_bound.lower, cert.target):
-            mismatches.append(
-                f"calculator result {engine_bound.lower} != certificate target {cert.target}"
-            )
-    except NotDecided as exc:  # pragma: no cover - degree_bounds does not raise this
-        engine_bound = exc.bound
+    engine_bound = degree_bounds(cert.m, cert.n)
+    if not engine_bound.exact:
         mismatches.append("calculator does not decide the pair exactly")
+    elif not intset.equals(engine_bound.lower, cert.target):
+        mismatches.append(
+            f"calculator result {engine_bound.lower} != certificate target {cert.target}"
+        )
 
     oracle: Optional[DegreeSet] = None
     try:
@@ -459,7 +448,17 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
 
     if not cert.derivation:
         mismatches.append("derivation is empty")
-    for entry in cert.derivation:
+    elif cert.derivation != engine_bound.trace:
+        # a decoded derivation holds its expressions as text: compare JSON forms
+        recorded = engine.trace_to_jsonable(cert.derivation)
+        steps = zip_longest(recorded, engine.trace_to_jsonable(engine_bound.trace))
+        step = next((i for i, (got, want) in enumerate(steps) if got != want), None)
+        if step is not None:
+            rule = recorded[step]["rule"] if step < len(recorded) else "missing"
+            mismatches.append(
+                f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"
+            )
+    for entry in engine_bound.trace:
         _recheck_entry(entry, mismatches)
     _check_params(cert, mismatches)
 

@@ -6,6 +6,7 @@ exhaustively or the output of an independent brute-force enumeration; time
 budgets are asserted, not advisory.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -21,6 +22,8 @@ from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
     SumsetFamily,
+    certificate_from_json,
+    certificate_to_json,
     realise_arith_intervals,
     realise_geometric,
     realise_sumset,
@@ -224,6 +227,39 @@ def test_criterion_7_fault_injection():
             assert report.mismatches
             rejected += 1
         assert rejected == 100
+
+        # change only the derivation, in memory and in the JSON a checker reads
+        cert = realise_arith_intervals(ArithIntervals(((-2, -1), (0, 1), (2, 3))))
+        other = realise_geometric(Geometric((2, 3)))
+        for name, derivation in _derivation_tampers(cert, other).items():
+            payload = json.loads(certificate_to_json(cert))
+            payload["derivation"] = engine.trace_to_jsonable(derivation)
+            decoded = certificate_from_json(json.dumps(payload))
+            for bad in (dataclasses.replace(cert, derivation=derivation), decoded):
+                report = check_certificate(bad)
+                assert not report.ok, (name, report.to_text())
+                assert any("derivation step" in m for m in report.mismatches), name
+
+
+def _derivation_tampers(cert, other):
+    steps = cert.derivation
+    return {
+        "first_step_only": steps[:1],
+        "last_step_dropped": steps[:-1],
+        "source_sum_produced": tuple(
+            dataclasses.replace(e, produced=fin([0, 99]))
+            if e.rule == "connected_sum_source_sum"
+            else e
+            for e in steps
+        ),
+        "every_rule_constant_map": tuple(
+            dataclasses.replace(e, rule="constant_map") for e in steps
+        ),
+        "other_certificate": other.derivation,
+        "one_constant_map": (
+            engine.RuleApplication("constant_map", (cert.m, cert.n), fin([0])),
+        ),
+    }
 
 
 def _bundles_of(expr):

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from degreecalc.cli import main
 
 
@@ -63,6 +65,23 @@ class TestCompute:
         elapsed = time.perf_counter() - start
         assert code == 0
         assert out.splitlines()[0] == "exact {0, 1000000000000, 3000000000000, 4000000000000}"
+        assert elapsed < 1.0
+
+    def test_covering_lift_over_huge_euler_answers_quickly(self, capsys):
+        # trial division up to the square root of 10**15 took seconds
+        e = 10**15
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "compute", f"K(2;1) -> K(2;1) # K(2;{e})")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines() == [
+            "exact {0}",
+            "trace:",
+            "  circle_bundle_pair: K(2;1), K(2;1) => {0, 1}",
+            f"  circle_bundle_pair: K(2;1), K(2;{e}) => {{0, {e}}}",
+            f"  target_summand_intersection: K(2;1), K(2;1) # K(2;{e}) => {{0}}",
+            f"  constant_map: K(2;1), K(2;1) # K(2;{e}) => {{0}}",
+        ]
         assert elapsed < 1.0
 
 
@@ -150,3 +169,35 @@ class TestVerify:
         bad.write_text("{}")
         code, _, _ = run(capsys, "verify", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "values, part, key, value",
+        [
+            ("subset-sums --values=-2,3", "spec", "d", ["a", 2]),
+            ("subset-sums --values=-2,3", "spec", "d", [2.0, 3]),
+            ("geom --values 2", "spec", "d", [2.5]),
+            ("subset-sums --values=-2,3", "params", "d_i_prime", 5),
+            ("geom --values 2", "params", "q", "5"),
+            ("geom --values 2", "params", "q", ["5"]),
+            ("geom --values 2", "params", "d_core", 2),
+        ],
+        ids=[
+            "d_text",
+            "d_float",
+            "geometric_d_float",
+            "d_i_prime_int",
+            "q_text",
+            "q_text_list",
+            "d_core_int",
+        ],
+    )
+    def test_hostile_field_is_never_an_internal_error(
+        self, capsys, tmp_path, values, part, key, value
+    ):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "realize", *values.split(), "--out", str(out_path))
+        payload = json.loads(out_path.read_text())
+        payload[part][key] = value
+        out_path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify", str(out_path))
+        assert code in (1, 2), err

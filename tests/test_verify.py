@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,8 @@ from degreecalc.verify import (
 from conftest import random_expr
 
 fin = DegreeSet.finite
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 class TestBruteSumset:
@@ -265,6 +268,27 @@ class TestCheckCertificate:
         report = check_certificate(bad)
         assert not report.ok
         assert any(field in m or "K(" in m for m in report.mismatches)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+    def test_decoded_golden_passes_with_cold_cache(self, name):
+        cert = certificate_from_json((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        engine.clear_cache()
+        report = check_certificate(cert)
+        assert report.ok, report.mismatches
+
+    def test_non_text_derivation_input_is_malformed(self):
+        payload = json.loads(certificate_to_json(realise_geometric(Geometric((2,)))))
+        payload["derivation"][0]["inputs"][0] = 3
+        with pytest.raises(MalformedCertificate):
+            certificate_from_json(json.dumps(payload))
+
+    def test_respaced_derivation_input_is_a_mismatch(self):
+        payload = json.loads(certificate_to_json(realise_subset_sums(SubsetSums((3, 3)))))
+        step = next(e for e in payload["derivation"] if "K(2;3) # K(2;3)" in e["inputs"])
+        step["inputs"] = [x.replace(" # ", "#") for x in step["inputs"]]
+        report = check_certificate(certificate_from_json(json.dumps(payload)))
+        assert not report.ok
+        assert any("not the calculator's trace" in m for m in report.mismatches)
 
     def test_source_summands_must_match_family(self):
         cert = realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1)))
