@@ -198,6 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         IntegerOverflow,
         verify.MalformedCertificate,
         verify.EnumerationTooLarge,
+        verify.InvalidEnumCap,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -64,7 +64,8 @@ class ConnSum:
 
     Stored as a multiset: ``counts`` holds each distinct summand once, in
     :func:`sort_key` order, with its multiplicity.  The constructor takes the
-    summands with repeats, e.g. ``ConnSum((a, b, a))``.
+    summands with repeats, e.g. ``ConnSum((a, b, a))``, or a mapping from
+    summand to positive count, e.g. ``ConnSum({a: 2, b: 1})``.
     """
 
     counts: tuple[tuple["ManifoldExpr", int], ...]
@@ -136,7 +137,11 @@ def sort_key(m: ManifoldExpr) -> tuple:
     if isinstance(m, CircleBundle):
         return (2, (m.base_genus, m.euler), ())
     if isinstance(m, ConnSum):
-        return (3, (), tuple(k for s, c in m.counts for k in [sort_key(s)] * c))
+        # the order of the summand tuples with repeats, one item per run: at an
+        # equal key fewer copies sort later, except in the last run
+        last = len(m.counts) - 1
+        runs = ((sort_key(s), i < last, -c if i < last else c) for i, (s, c) in enumerate(m.counts))
+        return (3, (), tuple(runs))
     return (4, (), tuple(sort_key(f) for f in m.factors))
 
 

@@ -11,17 +11,23 @@ Four families of target sets are supported:
   non-decreasing list of positive integers, realised by products of
   connected sums of circle bundles.
 
-Every realisation returns a :class:`Certificate` whose derivation is the
-calculator's own trace; building one re-runs the calculator and demands an
-exact answer equal to the constructed target, so a certificate cannot be
-produced unless construction and calculus agree.  A certificate decoded from
-JSON keeps its derivation as recorded: step inputs and expressions inside
-step details stay text, for the checker to compare with a fresh trace.
+Each family has one construction, :func:`_sumset_construction` or
+:func:`_geometric_construction`, from the spec and the free choices (base
+genus, block primes) to M, N and the recorded params; the checker compares a
+certificate with it by equality.  Every realisation returns a
+:class:`Certificate` whose derivation is the calculator's own trace; building
+one re-runs the calculator and demands an exact answer equal to the
+constructed target, so a certificate cannot be produced unless construction
+and calculus agree.  A certificate decoded from JSON keeps its derivation as
+recorded: step inputs and expressions inside step details stay text, for the
+checker to compare with a fresh trace.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -121,17 +127,8 @@ class Certificate:
 
 
 def _certified(
-    spec: RealisationSpec,
-    m: ManifoldExpr,
-    n: ManifoldExpr,
-    params: dict[str, object],
+    spec: RealisationSpec, m: ManifoldExpr, n: ManifoldExpr, params: dict[str, object]
 ) -> Certificate:
-    m = normalize(m)
-    n = normalize(n)
-    if dimension(m) != dimension(n):
-        raise RealisationFailed(
-            f"construction produced mismatched dimensions for {spec!r}"
-        )
     bound = engine._bounds(m, n)
     if not bound.exact:
         raise RealisationFailed(
@@ -145,47 +142,7 @@ def _certified(
 
 
 # ---------------------------------------------------------------------------
-# sumset family
-
-
-def realise_sumset(spec: SumsetFamily) -> Certificate:
-    """Connected sum of bundles realising {sum m_i d_i | -n'_i <= m_i <= n_i}.
-
-    The target is the bundle with Euler number d' = prod d_i; for each i the
-    source gets n_i summands with Euler number d'/d_i and n'_i with -d'/d_i,
-    so each summand contributes {0, d_i} or {0, -d_i} and the contributions
-    add over the connected sum.
-    """
-    d_prime = 1
-    for x in spec.d:
-        d_prime *= x
-    d_i_prime = tuple(d_prime // x for x in spec.d)
-    n_expr: ManifoldExpr = CircleBundle(BASE_GENUS, d_prime)
-
-    summands: list[ManifoldExpr] = []
-    for di_p, ni, npi in zip(d_i_prime, spec.n, spec.nprime):
-        summands.extend([CircleBundle(BASE_GENUS, di_p)] * ni)
-        summands.extend([CircleBundle(BASE_GENUS, -di_p)] * npi)
-
-    params: dict[str, object] = {
-        "d_prime": d_prime,
-        "d_i_prime": list(d_i_prime),
-        "base_genus": BASE_GENUS,
-    }
-    if summands:
-        m_expr: ManifoldExpr = ConnSum(tuple(summands))
-    else:
-        # All multiplicities zero: the only representable value is 0, which a
-        # bundle pair with non-dividing Euler numbers realises exactly.
-        # d' + 1 is the smallest value > d' not dividing d'.
-        c = d_prime + 1
-        m_expr = CircleBundle(BASE_GENUS, c)
-        params["degenerate_euler"] = c
-    return _certified(spec, m_expr, n_expr, params)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic interval sequences
+# sumset family, arithmetic interval sequences, subset sums
 
 
 def _sumset_family(spec: SumsetFamily | ArithIntervals | SubsetSums) -> SumsetFamily:
@@ -219,77 +176,140 @@ def _sumset_family(spec: SumsetFamily | ArithIntervals | SubsetSums) -> SumsetFa
     return SumsetFamily(d=(1, d2), n=(c_k, len(bounds) - k), nprime=(-b_k, k - 1))
 
 
-def _interval_params(family: SumsetFamily) -> dict[str, int]:
-    """The interval parameters recorded in a certificate, read off its family."""
-    (n1, n2), (n1p, n2p) = family.n, family.nprime
-    return dict(
-        n1=n1, n1prime=n1p, d2=family.d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1
-    )
+def _sumset_construction(
+    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
+) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
+    """M, N and params realising {sum m_i d_i | -n'_i <= m_i <= n_i} for the
+    family of :func:`_sumset_family`, over base genus ``genus``.
+
+    N is the bundle with Euler number d' = prod d_i; for each i, M gets n_i
+    summands with Euler number d'/d_i and n'_i with -d'/d_i, so each summand
+    contributes {0, d_i} or {0, -d_i} and the contributions add over the
+    connected sum.
+    """
+    family = _sumset_family(spec)
+    d_prime = math.prod(family.d)
+    d_i_prime = [d_prime // x for x in family.d]
+    counts: dict[int, int] = {}  # Euler number -> summand count
+    for di_p, ni, npi in zip(d_i_prime, family.n, family.nprime):
+        counts[di_p] = counts.get(di_p, 0) + ni
+        counts[-di_p] = counts.get(-di_p, 0) + npi
+    summands = {CircleBundle(genus, e): k for e, k in counts.items() if k}
+    params: dict[str, object] = {"d_prime": d_prime, "d_i_prime": d_i_prime, "base_genus": genus}
+    if summands:  # a one-summand sum is the summand itself
+        m_expr = ConnSum(summands) if sum(summands.values()) > 1 else next(iter(summands))
+    else:
+        # All multiplicities zero: the only representable value is 0, which a
+        # bundle pair with non-dividing Euler numbers realises exactly.
+        # d' + 1 is the smallest value > d' not dividing d'.
+        m_expr = CircleBundle(genus, d_prime + 1)
+        params["degenerate_euler"] = d_prime + 1
+    if isinstance(spec, ArithIntervals):
+        (n1, n2), (n1p, n2p) = family.n, family.nprime
+        params.update(
+            n1=n1, n1prime=n1p, d2=family.d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1
+        )
+    elif isinstance(spec, SubsetSums):
+        params["dropped_zeros"] = spec.d.count(0)
+    return m_expr, CircleBundle(genus, d_prime), params
+
+
+def realise_sumset(spec: SumsetFamily) -> Certificate:
+    """Realise {sum m_i d_i | -n'_i <= m_i <= n_i} by :func:`_sumset_construction`."""
+    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
 
 
 def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
     """Realise a union of equally spaced, equal-length integer intervals as
     the two-term sumset family of :func:`_sumset_family`."""
-    family = _sumset_family(spec)
-    inner = realise_sumset(family)
-    params = dict(inner.params)
-    params.update(_interval_params(family))
-    expected = DegreeSet.finite(
-        x for b, c in spec.bounds for x in range(b, c + 1)
-    )
-    if not intset.equals(inner.target, expected):
-        raise RealisationFailed(
-            f"interval realisation produced {inner.target}, wanted {expected}"
-        )
-    return Certificate(spec, inner.target, inner.m, inner.n, params, inner.derivation)
-
-
-# ---------------------------------------------------------------------------
-# subset sums
+    cert = _certified(spec, *_sumset_construction(spec, BASE_GENUS))
+    expected = DegreeSet.finite(x for b, c in spec.bounds for x in range(b, c + 1))
+    if not intset.equals(cert.target, expected):
+        raise RealisationFailed(f"interval realisation produced {cert.target}, wanted {expected}")
+    return cert
 
 
 def realise_subset_sums(spec: SubsetSums) -> Certificate:
-    """Realise {sum over S of d_j | S a subset} as the sumset family of
-    :func:`_sumset_family`."""
-    inner = realise_sumset(_sumset_family(spec))
-    params = dict(inner.params)
-    params["dropped_zeros"] = spec.d.count(0)
-    return Certificate(spec, inner.target, inner.m, inner.n, params, inner.derivation)
+    """Realise {sum over S of d_j | S a subset} by :func:`_sumset_construction`."""
+    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
 
 
 # ---------------------------------------------------------------------------
 # geometric / subset products
 
+# The first 13 primes.  Miller-Rabin over them as bases is exact below
+# _PRIME_TEST_BOUND, the least strong pseudoprime to all of them.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
 
 def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
+    """Smallest prime strictly greater than n; InvalidSpec if that is not
+    below _PRIME_TEST_BOUND."""
     candidate = max(n, 1) + 1
-    while True:
-        if _is_prime(candidate):
-            return candidate
+    while not _is_prime(candidate):
+        if candidate >= _PRIME_TEST_BOUND:
+            raise InvalidSpec(f"no prime above {n} is below the exact primality test's bound")
         candidate += 1
+    return candidate
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is a prime below _PRIME_TEST_BOUND, by deterministic
+    Miller-Rabin, which is exact there.  Larger n are never certified prime."""
+    if not 2 <= n < _PRIME_TEST_BOUND:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor below 43
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        # n - 1 = d * 2^s with d odd; a witnesses that n is composite unless
+        # a^d = 1 or a^(d * 2^r) = -1 (mod n) for some r < s
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
-        f += 2
     return True
 
 
-def _geometric_blocks(d: int, q: int) -> tuple[ManifoldExpr, ManifoldExpr]:
-    source = ConnSum(
-        tuple([CircleBundle(BASE_GENUS, q)] * d)
-        + (CircleBundle(BASE_GENUS, d), CircleBundle(BASE_GENUS, d * d))
-    )
-    target = ConnSum((CircleBundle(BASE_GENUS, q), CircleBundle(BASE_GENUS, d * d)))
-    return normalize(source), normalize(target)
+def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
+    """The block pair (Q, P) for value d and prime q: Q = d K(g;q) # K(g;d) #
+    K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1."""
+    source = Counter({CircleBundle(genus, q): d})
+    source.update((CircleBundle(genus, d), CircleBundle(genus, d * d)))
+    # sums of two or more bundles are already in normal form
+    return ConnSum(source), ConnSum((CircleBundle(genus, q), CircleBundle(genus, d * d)))
+
+
+def _block_values(spec: Geometric) -> list[int]:
+    """One block per value d_j > 1, or a single value-1 block when all are 1."""
+    return [x for x in spec.d if x > 1] or [1]
+
+
+def _geometric_construction(
+    spec: Geometric, qs: list[int], genus: int
+) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
+    """M, N and params of the block products for the primes ``qs``, one per block value."""
+    core = _block_values(spec)
+    blocks = [_geometric_blocks(d, q, genus) for d, q in zip(core, qs)]
+    if len(blocks) == 1:
+        m_expr, n_expr = blocks[0]
+    else:
+        m_expr = normalize(Product(tuple(b[0] for b in blocks)))
+        n_expr = normalize(Product(tuple(b[1] for b in blocks)))
+    d_max, ascending = max(spec.d), all(a < b for a, b in zip(qs, qs[1:]))
+    params: dict[str, object] = {
+        "q": list(qs),
+        "d_core": core,
+        "max_d": d_max,
+        "base_genus": genus,
+        "prime_hygiene": {"ascending_distinct": ascending, "q1_exceeds_all_d": qs[0] > d_max},
+        "degenerate_all_ones": d_max == 1,
+    }
+    return m_expr, n_expr, params
 
 
 def realise_geometric(spec: Geometric) -> Certificate:
@@ -306,48 +326,19 @@ def realise_geometric(spec: Geometric) -> Certificate:
     exactness conditions, so they are dropped; an all-ones request is
     realised by a single degenerate block.
     """
-    core = tuple(x for x in spec.d if x > 1)
-    degenerate = not core
-    if degenerate:
-        core = (1,)
-
-    d_max = max(spec.d)
     qs: list[int] = []
-    blocks: list[tuple[ManifoldExpr, ManifoldExpr]] = []
-    floor = d_max
-    for d in core:
-        q = next_prime(floor)
+    for d in _block_values(spec):
+        q = next_prime(qs[-1] if qs else max(spec.d))
         expected = DegreeSet.finite({0, 1, d})
         for _ in range(25):
-            source, target = _geometric_blocks(d, q)
-            bound = engine._bounds(source, target)
+            bound = engine._bounds(*_geometric_blocks(d, q, BASE_GENUS))
             if bound.exact and intset.equals(bound.lower, expected):
                 break
             q = next_prime(q)
         else:
             raise RealisationFailed(f"no admissible prime found for block value {d}")
         qs.append(q)
-        blocks.append((source, target))
-        floor = q
-
-    if len(blocks) == 1:
-        m_expr, n_expr = blocks[0]
-    else:
-        m_expr = Product(tuple(b[0] for b in blocks))
-        n_expr = Product(tuple(b[1] for b in blocks))
-
-    params: dict[str, object] = {
-        "q": qs,
-        "d_core": list(core),
-        "max_d": d_max,
-        "base_genus": BASE_GENUS,
-        "prime_hygiene": {
-            "ascending_distinct": all(a < b for a, b in zip(qs, qs[1:])),
-            "q1_exceeds_all_d": qs[0] > d_max,
-        },
-        "degenerate_all_ones": degenerate,
-    }
-    return _certified(spec, m_expr, n_expr, params)
+    return _certified(spec, *_geometric_construction(spec, qs, BASE_GENUS))
 
 
 # ---------------------------------------------------------------------------

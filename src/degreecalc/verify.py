@@ -14,10 +14,10 @@ the calculator's trace for (M, N) step for step, and that trace's steps
 re-validate: closed forms for bundle pairs, summand containment for pinches
 and covering lifts, second homotopy groups for connected-sum sums, and the
 domination-freeness and kill-summand conditions for product steps.  The
-recorded parameters must also rebuild M and N: prime hygiene for the
-geometric family, and for the sumset, interval and subset-sum families, N is
-K(g; d') over the recorded base genus g and M has exactly the summands the
-family's multiplicities call for.
+recorded free choices must be admissible -- a base genus g >= 2 and, for the
+geometric family, one prime per block, strictly ascending and above every
+d -- and M, N and every params key must then equal the realiser's
+construction for the spec and those choices.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .engine import RuleApplication, SetBound, degree_bounds
 from .intset import ZERO_ONLY, DegreeSet
 from .manifold import (
     CircleBundle,
-    ConnSum,
-    Product,
     UnsupportedExpression,
     is_pi2_trivial,
     is_product_domination_free,
@@ -51,10 +49,10 @@ from .realiser import (
     MalformedCertificate,  # re-exported; the certificate decoder raises it
     SubsetSums,
     SumsetFamily,
-    _geometric_blocks,
-    _interval_params,
+    _block_values,
+    _geometric_construction,
     _is_prime,
-    _sumset_family,
+    _sumset_construction,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -65,13 +63,18 @@ class EnumerationTooLarge(ValueError):
     """The requested enumeration exceeds the configured cap."""
 
 
+class InvalidEnumCap(ValueError):
+    """The enumeration cap in the environment is not an integer."""
+
+
 def _resolve_cap(enum_cap: Optional[int]) -> int:
     if enum_cap is not None:
         return enum_cap
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is not None:
+    raw = os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
+    try:
         return int(raw)
-    return DEFAULT_ENUM_CAP
+    except ValueError:
+        raise InvalidEnumCap(f"{ENUM_CAP_ENV}={raw!r} is not an integer") from None
 
 
 def brute_sumset(
@@ -316,112 +319,49 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
 
 
 def _check_params(cert: Certificate, problems: list[str]) -> None:
+    """The recorded free choices (base genus, geometric primes) must be
+    admissible; M, N and the params must then equal the construction's."""
     spec, params = cert.spec, cert.params
-
-    def need(*keys: str) -> bool:
-        missing = [k for k in keys if k not in params]
-        if missing:
-            problems.append(f"params missing {missing}")
-            return False
-        return True
-
-    if isinstance(spec, (SumsetFamily, SubsetSums, ArithIntervals)):
-        if not need("d_prime", "d_i_prime", "base_genus"):
-            return
-        try:
-            family = _sumset_family(spec)
-        except InvalidSpec as exc:
-            problems.append(f"spec has no realising family: {exc}")
-            return
-        if isinstance(spec, ArithIntervals):
-            expected = _interval_params(family)
-            if not need(*expected):
-                return
-            got = {key: params[key] for key in expected}
-            if got != expected:
-                problems.append(f"interval parameters {got} differ from derived {expected}")
-        d_prime = math.prod(family.d)
-        if params["d_prime"] != d_prime:
-            problems.append(f"d_prime {params['d_prime']!r} != {d_prime}")
-        if params["d_i_prime"] != [d_prime // x for x in family.d]:
-            problems.append(
-                f"d_i_prime {params['d_i_prime']!r} inconsistent with the family values"
-            )
-        _check_sumset_manifolds(cert, family, d_prime, problems)
-
-    elif isinstance(spec, Geometric):
-        if not need("q", "d_core", "base_genus", "max_d"):
-            return
-        qs = params["q"]
-        core = [x for x in spec.d if x > 1] or [1]
-        genus = params["base_genus"]
-        if params["d_core"] != core:
-            problems.append(f"d_core {params['d_core']!r} differs from derived {core}")
-        if params["max_d"] != max(spec.d):
-            problems.append(f"max_d {params['max_d']!r} != {max(spec.d)}")
+    genus = params.get("base_genus")
+    if not (isinstance(genus, int) and genus >= 2):
+        problems.append(f"base genus {genus!r} is not hyperbolic")
+        return
+    if isinstance(spec, Geometric):
+        qs = params.get("q")
         if not (isinstance(qs, list) and all(type(q) is int for q in qs)):
             problems.append(f"q {qs!r} is not a list of integers")
             return
-        if len(qs) != len(core):
+        if len(qs) != len(_block_values(spec)):
             problems.append("one prime per block is required")
             return
         if not all(_is_prime(q) for q in qs):
             problems.append(f"q values {qs} are not all prime")
         if any(a >= b for a, b in zip(qs, qs[1:])):
             problems.append(f"q values {qs} are not strictly ascending")
-        if qs and qs[0] <= max(spec.d):
+        if qs[0] <= max(spec.d):
             problems.append(f"q1 = {qs[0]} does not exceed max d = {max(spec.d)}")
-        if not (isinstance(genus, int) and genus >= 2):
-            problems.append(f"base genus {genus!r} is not hyperbolic")
+        m, n, expected = _geometric_construction(spec, qs, genus)
+    else:
+        try:
+            m, n, expected = _sumset_construction(spec, genus)
+        except InvalidSpec as exc:
+            problems.append(f"spec has no realising family: {exc}")
             return
-        blocks = [_geometric_blocks(d, q) for d, q in zip(core, qs)]
-        if len(blocks) == 1:
-            em, en = blocks[0]
-        else:
-            em = normalize(Product(tuple(b[0] for b in blocks)))
-            en = normalize(Product(tuple(b[1] for b in blocks)))
-        if em != cert.m or en != cert.n:
-            problems.append("manifolds do not match the construction for these parameters")
-
-
-def _check_sumset_manifolds(
-    cert: Certificate, family: SumsetFamily, d_prime: int, problems: list[str]
-) -> None:
-    """M and N must be the sumset construction for the recorded base genus:
-    N = K(g; d'), and M has n_i summands K(g; d'/d_i) and n'_i summands
-    K(g; -d'/d_i), or is K(g; d' + 1) when every multiplicity is 0.
-
-    Summands are counted by Euler number in plain dicts, without building
-    the expected M or a Counter: this runs for every certificate checked.
-    """
-    genus = cert.params["base_genus"]
-    if not (isinstance(genus, int) and genus >= 2):
-        problems.append(f"base genus {genus!r} is not hyperbolic")
-        return
-    if cert.n != CircleBundle(genus, d_prime):
-        problems.append(f"target is not the bundle K({genus};{d_prime})")
-    expected: dict[int, int] = {}
-    for d, n, nprime in zip(family.d, family.n, family.nprime):
-        for euler, k in ((d_prime // d, n), (-(d_prime // d), nprime)):
-            if k:
-                expected[euler] = expected.get(euler, 0) + k
-    c = cert.params.get("degenerate_euler")
-    if expected:
-        # a summand that is not a bundle over the base genus counts under None
-        m = cert.m
-        found: dict[Optional[int], int] = {}
-        for s, k in m.counts if isinstance(m, ConnSum) else ((m, 1),):
-            key = s.euler if isinstance(s, CircleBundle) and s.base_genus == genus else None
-            found[key] = found.get(key, 0) + k
-        if found != expected:
-            problems.append("source summands do not match the family multiplicities")
-        if "degenerate_euler" in cert.params:
-            problems.append(f"degenerate_euler {c!r} recorded for a family with summands")
-        return
-    if c != d_prime + 1:
-        problems.append(f"degenerate_euler {c!r} != d_prime + 1 = {d_prime + 1}")
-    if cert.m != CircleBundle(genus, d_prime + 1):
-        problems.append(f"source is not the bundle K({genus};{d_prime + 1})")
+    # compared in normal form, as the calculator reads them
+    if cert.n != n and normalize(cert.n) != n:
+        problems.append(f"target is not the construction's {print_expr(n)}")
+    if cert.m != m and normalize(cert.m) != m:
+        problems.append("source summands do not match the family multiplicities")
+    if params != expected:
+        for key in {**expected, **params}:
+            if key not in params:
+                problems.append(f"params missing {key!r}")
+            elif key not in expected:
+                problems.append(f"params key {key!r} is not part of the construction")
+            elif params[key] != expected[key]:
+                problems.append(
+                    f"{key} {params[key]!r} is not the construction's {expected[key]!r}"
+                )
 
 
 def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Report:
@@ -441,9 +381,9 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
         oracle = oracle_set(cert.spec, enum_cap)
         if not intset.equals(oracle, cert.target):
             mismatches.append(f"oracle result {oracle} != certificate target {cert.target}")
+    except (EnumerationTooLarge, InvalidEnumCap):
+        raise
     except ValueError as exc:
-        if isinstance(exc, EnumerationTooLarge):
-            raise
         mismatches.append(f"oracle rejected the spec: {exc}")
 
     if not cert.derivation:

@@ -201,3 +201,13 @@ class TestVerify:
         out_path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "verify", str(out_path))
         assert code in (1, 2), err
+
+    @pytest.mark.parametrize("cap", ["abc", "1e3"])
+    def test_malformed_enum_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, cap):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "realize", "subset-sums", "--values=-2,3", "--out", str(out_path))
+        monkeypatch.setenv("DEGREECALC_ENUM_CAP", cap)
+        code, out, err = run(capsys, "verify", str(out_path))
+        assert code == 2
+        assert "DEGREECALC_ENUM_CAP" in err
+        assert out == ""

@@ -18,6 +18,7 @@ from degreecalc.manifold import (
     is_product_domination_free,
     normalize,
     product,
+    sort_key,
     summand_multiset,
 )
 
@@ -181,6 +182,23 @@ class TestMultisetRepresentation:
         p = Product((CIRCLE, Surface(2)))
         s = ConnSum((p, K(2, 3), K(2, -1), K(2, 3)))
         assert s.summands == (K(2, -1), K(2, 3), K(2, 3), p)
+
+    def test_sort_key_orders_sums_as_their_summand_tuples(self):
+        def expanded(m):
+            if isinstance(m, ConnSum):
+                return (3, (), tuple(expanded(s) for s in m.summands))
+            if isinstance(m, Product):
+                return (4, (), tuple(expanded(f) for f in m.factors))
+            return sort_key(m)
+
+        rng = random.Random(47)
+        leaves = [K(2, e) for e in (-2, 1, 3)] + [Product((CIRCLE, Surface(2)))]
+        sums = [
+            ConnSum(rng.choice(leaves) for _ in range(rng.randint(1, 5))) for _ in range(300)
+        ]
+        sums += [ConnSum((s, rng.choice(leaves))) for s in sums[:50]]
+        sums += [Product((rng.choice(sums), rng.choice(sums))) for _ in range(100)]
+        assert sorted(sums, key=sort_key) == sorted(sums, key=expanded)
 
     def test_canonical_input_is_returned_as_is(self):
         s = ConnSum((K(2, 1), K(2, 1), Product((CIRCLE, Surface(2)))))

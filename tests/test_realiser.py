@@ -209,6 +209,29 @@ class TestNextPrime:
         assert next_prime(0) == 2
         assert next_prime(13) == 17
 
+    def test_primality_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-3, 10**5) if _is_prime(n)] == [
+            n for n in range(-3, 10**5) if trial(n)
+        ]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to every prime base up to 23 and up to 37
+        assert not _is_prime(3825123056546413051)
+        assert not _is_prime(318665857834031151167461)
+
+    def test_large_prime_is_found_quickly(self):
+        start = time.perf_counter()
+        assert next_prime(10**16 + 60) == 10**16 + 61
+        assert time.perf_counter() - start < 1.0
+
+    def test_beyond_the_exact_test_is_invalid(self):
+        assert not _is_prime(3317044064679887385961981)
+        with pytest.raises(InvalidSpec):
+            next_prime(10**25)
+
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 

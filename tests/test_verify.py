@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from degreecalc.realiser import (
     SumsetFamily,
     certificate_from_json,
     certificate_to_json,
+    next_prime,
     realise_arith_intervals,
     realise_geometric,
     realise_subset_sums,
@@ -37,6 +39,14 @@ from conftest import random_expr
 fin = DegreeSet.finite
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# one certificate per construction, for the params edits
+PARAMS_CERTS = {
+    "subset_sums": realise_subset_sums(SubsetSums((-2, 0, 3))),
+    "intervals": realise_arith_intervals(ArithIntervals(((-2, -1), (0, 1), (2, 3)))),
+    "sumset": realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1))),
+    "geometric": realise_geometric(Geometric((2, 3))),
+}
 
 
 class TestBruteSumset:
@@ -295,6 +305,51 @@ class TestCheckCertificate:
         bad = dataclasses.replace(cert, m=conn_sum(CircleBundle(2, 1), CircleBundle(2, 3)))
         report = check_certificate(bad)
         assert "source summands do not match the family multiplicities" in report.mismatches
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (kind, field, 7)
+            for kind in PARAMS_CERTS
+            for field in ("dropped_zeros", "prime_hygiene", "degenerate_all_ones")
+        ]
+        + [("geometric", "base_genus", 7)]
+        + [(kind, "extra", 1) for kind in PARAMS_CERTS],
+    )
+    def test_edited_or_extra_params_key_rejected(self, kind, field, value):
+        cert = PARAMS_CERTS[kind]
+        bad = dataclasses.replace(cert, params={**cert.params, field: value})
+        for candidate in (bad, certificate_from_json(certificate_to_json(bad))):
+            report = check_certificate(candidate)
+            assert not report.ok
+            assert any(field in m or "K(" in m for m in report.mismatches), report.mismatches
+
+    def test_huge_prime_q_is_rejected_quickly(self):
+        cert = realise_geometric(Geometric((2,)))
+        bad = dataclasses.replace(cert, params={**cert.params, "q": [10**16 + 61]})
+        start = time.perf_counter()
+        report = check_certificate(certificate_from_json(certificate_to_json(bad)))
+        assert time.perf_counter() - start < 1.0
+        assert not report.ok
+
+    def test_huge_geometric_values_are_checked_without_expanding_copies(self):
+        # each block source holds d copies of K(2;q); expanding the copies
+        # made this take seconds and hundreds of MB
+        d = 5 * 10**6
+        payload = json.loads(certificate_to_json(realise_geometric(Geometric((2, 3)))))
+        payload["spec"]["d"] = [d, d]
+        q1 = next_prime(d)
+        payload["params"].update(q=[q1, next_prime(q1)], d_core=[d, d], max_d=d)
+        start = time.perf_counter()
+        report = check_certificate(certificate_from_json(json.dumps(payload)))
+        assert time.perf_counter() - start < 1.0
+        assert not report.ok
+
+    def test_q_beyond_the_exact_primality_test_is_a_mismatch(self):
+        cert = realise_geometric(Geometric((2,)))
+        bad = dataclasses.replace(cert, params={**cert.params, "q": [2**89 - 1]})
+        report = check_certificate(bad)
+        assert "q values [618970019642690137449562111] are not all prime" in report.mismatches
 
     def test_missing_zero_interval_is_a_mismatch(self):
         cert = realise_arith_intervals(ArithIntervals(((-1, 1), (3, 5))))
