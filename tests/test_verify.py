@@ -324,6 +324,26 @@ class TestCheckCertificate:
             assert not report.ok
             assert any(field in m or "K(" in m for m in report.mismatches), report.mismatches
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("geometric", "degenerate_all_ones", 0),
+            ("geometric", "max_d", 3.0),
+            ("geometric", "prime_hygiene", {"ascending_distinct": 1, "q1_exceeds_all_d": True}),
+            ("geometric", "d_core", [2.0, 3]),
+            ("sumset", "d_prime", 3.0),
+            ("subset_sums", "dropped_zeros", True),
+        ],
+    )
+    def test_params_value_of_another_type_rejected(self, kind, field, value):
+        cert = PARAMS_CERTS[kind]
+        assert cert.params[field] == value  # equal as numbers, wrong JSON type
+        bad = dataclasses.replace(cert, params={**cert.params, field: value})
+        for candidate in (bad, certificate_from_json(certificate_to_json(bad))):
+            report = check_certificate(candidate)
+            assert not report.ok
+            assert any(m.startswith(f"{field} ") for m in report.mismatches), report.mismatches
+
     def test_huge_prime_q_is_rejected_quickly(self):
         cert = realise_geometric(Geometric((2,)))
         bad = dataclasses.replace(cert, params={**cert.params, "q": [10**16 + 61]})
