@@ -8,6 +8,7 @@ Grammar::
           | 'S(' nat ')'              surface of given genus
           | 'S1'                      the circle
           | '(' expr ')'
+    int  := '-'? [0-9]+               ASCII digits only
 
 Whitespace is insignificant.  Parsing normalizes the result, and
 :func:`print_expr` emits the canonical text, so
@@ -16,7 +17,7 @@ Whitespace is insignificant.  Parsing normalizes the result, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .manifold import (
     CIRCLE,
@@ -46,60 +47,35 @@ class SemanticError(ValueError):
     """The text parses but denotes an invalid manifold."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'K' | 'S' | 'S1' | 'x' | '#' | '(' | ')' | ';' | 'int' | 'end'
-    text: str
-    line: int
-    column: int
+# One alternative per token class; a '-' with no digit after it falls to 'other'.
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<int>-?[0-9]+)"
+    r"|(?P<name>[^\W\d_][^\W_]*)|(?P<punct>[#();,])|(?P<other>.)"
+)
+_NAMES = ("K", "S", "S1", "x")
+
+# (kind, text, line, column); kind is the text for names and punctuation,
+# else 'int' or 'end'
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if c in "#();,":
-            tokens.append(_Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "-" or c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            if word == "-":
-                raise ParseError("lone '-'", line, start_col, ("integer",))
-            tokens.append(_Token("int", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            if word in ("K", "S", "S1", "x"):
-                tokens.append(_Token(word, word, line, start_col))
-                col += j - i
-                i = j
-                continue
-            raise ParseError(f"unknown name {word!r}", line, start_col, ("K", "S", "S1", "x"))
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "name" and word not in _NAMES:
+            raise ParseError(f"unknown name {word!r}", line, column, _NAMES)
+        elif kind == "other" and word == "-":
+            raise ParseError("lone '-'", line, column, ("integer",))
+        elif kind == "other":
+            raise ParseError(f"unexpected character {word!r}", line, column)
+        elif kind != "space":
+            tokens.append((kind if kind == "int" else word, word, line, column))
+    tokens.append(("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -113,24 +89,25 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}",
-                tok.line,
-                tok.column,
-                (kind,),
-            )
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        kind, _, line, column = self.tokens[self.pos]
+        return ParseError(
+            f"unexpected {kind if kind != 'end' else 'end of input'}", line, column, expected
+        )
+
+    def take(self, kind: str) -> str:
+        """Consume a token of this kind and return its text."""
+        if self.peek() != kind:
+            raise self.unexpected((kind,))
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
     def parse_expr(self) -> ManifoldExpr:
         factors = [self.parse_term()]
-        while self.peek().kind == "x":
+        while self.peek() == "x":
             self.take("x")
             factors.append(self.parse_term())
         if len(factors) == 1:
@@ -139,7 +116,7 @@ class _Parser:
 
     def parse_term(self) -> ManifoldExpr:
         summands = [self.parse_atom()]
-        while self.peek().kind == "#":
+        while self.peek() == "#":
             self.take("#")
             summands.append(self.parse_atom())
         if len(summands) == 1:
@@ -147,45 +124,34 @@ class _Parser:
         return ConnSum(tuple(summands))
 
     def parse_atom(self) -> ManifoldExpr:
-        tok = self.peek()
-        if tok.kind == "S1":
+        kind, _, line, column = self.tokens[self.pos]
+        if kind == "S1":
             self.take("S1")
             return CIRCLE
-        if tok.kind == "S":
+        if kind == "S":
             self.take("S")
             self.take("(")
-            genus = int(self.take("int").text)
+            genus = int(self.take("int"))
             self.take(")")
-            if genus < 0:
-                raise SemanticError(f"surface genus must be >= 0, got {genus}")
             return Surface(genus)
-        if tok.kind == "K":
+        if kind == "K":
             self.take("K")
             self.take("(")
-            genus = int(self.take("int").text)
+            genus = int(self.take("int"))
             self.take(";")
-            euler = int(self.take("int").text)
+            euler = int(self.take("int"))
             self.take(")")
-            if genus < 2:
-                raise SemanticError(f"circle bundle base genus must be >= 2, got {genus}")
             return CircleBundle(genus, euler)
-        if tok.kind == "(":
+        if kind == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.column
-                )
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", line, column)
             self.take("(")
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.take(")")
             return inner
-        raise ParseError(
-            f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}",
-            tok.line,
-            tok.column,
-            ("K", "S", "S1", "("),
-        )
+        raise self.unexpected(("K", "S", "S1", "("))
 
 
 def parse_expr(text: str) -> ManifoldExpr:
@@ -193,11 +159,9 @@ def parse_expr(text: str) -> ManifoldExpr:
     parser = _Parser(_tokenize(text))
     try:
         expr = parser.parse_expr()
-        end = parser.peek()
-        if end.kind != "end":
-            raise ParseError(
-                f"trailing input {end.text!r}", end.line, end.column, ("end of input",)
-            )
+        kind, word, line, column = parser.tokens[parser.pos]
+        if kind != "end":
+            raise ParseError(f"trailing input {word!r}", line, column, ("end of input",))
         return normalize(expr)
     except MalformedExpr as exc:
         raise SemanticError(str(exc)) from exc

@@ -112,17 +112,7 @@ def _make_bound(
             raise EngineInvariantError(
                 f"lower bound {lower} escapes upper bound {upper}"
             )
-    return SetBound(lower, upper, _dedupe(trace))
-
-
-def _dedupe(trace: list[RuleApplication]) -> tuple[RuleApplication, ...]:
-    seen: set[RuleApplication] = set()
-    out: list[RuleApplication] = []
-    for entry in trace:
-        if entry not in seen:
-            seen.add(entry)
-            out.append(entry)
-    return tuple(out)
+    return SetBound(lower, upper, tuple(dict.fromkeys(trace)))
 
 
 _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}

@@ -160,7 +160,7 @@ def normalize(m: ManifoldExpr) -> ManifoldExpr:
         for t, c in children:
             for u, k in t.counts if isinstance(t, ConnSum) else ((t, 1),):
                 merged[u] += k * c
-        return next(iter(merged)) if merged.total() == 1 else ConnSum(merged.elements())
+        return next(iter(merged)) if merged.total() == 1 else ConnSum(merged)
     if isinstance(m, Product):
         flat = []
         for f in m.factors:

@@ -33,8 +33,9 @@ class TestCompute:
         assert first == second
         assert first[1].splitlines()[0] == "exact {0, 1, 2}"
 
-    def test_bad_expression_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "compute", "K(1;3) -> K(2;3)")
+    @pytest.mark.parametrize("pair", ["K(1;3) -> K(2;3)", "K(2;²) -> K(2;1)", "K(2;٢) -> K(2;1)"])
+    def test_bad_expression_is_usage_error(self, capsys, pair):
+        code, _, err = run(capsys, "compute", pair)
         assert code == 2
         assert "error" in err
 

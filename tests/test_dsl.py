@@ -56,6 +56,26 @@ class TestParse:
         assert err.value.column == 10
         assert "K" in err.value.expected
 
+    @pytest.mark.parametrize("digit", ["²", "٢", "１"])
+    def test_non_ascii_digit_is_syntax_error(self, digit):
+        with pytest.raises(ParseError) as err:
+            parse_expr(f"K(2;{digit})")
+        assert (err.value.line, err.value.column) == (1, 5)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("K(2;3)\n  # T", 2, 5),
+            ("K(2;3) #\n\n K(2;", 3, 6),
+            ("K(2;3) #\n K(2;1) x\n", 3, 1),
+            ("S1 x\n\tS1 x S1\n  S1", 3, 3),
+        ],
+    )
+    def test_later_lines_count_columns_from_the_line_start(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_missing_semicolon(self):
         with pytest.raises(ParseError) as err:
             parse_expr("K(2,3)")

@@ -1,6 +1,7 @@
 """Expression trees: dimensions, canonical form, topological predicates."""
 
 import random
+import time
 
 import pytest
 
@@ -177,6 +178,13 @@ class TestMultisetRepresentation:
         assert normalize(nested).counts == ConnSum((a, a, b)).counts
         twice = ConnSum((ConnSum((a, b)), ConnSum((b, a))))
         assert normalize(twice).counts == ((a, 2), (b, 2))
+
+    def test_flattening_merges_counts_without_expanding_copies(self):
+        inner = ConnSum({K(2, 3): 1, K(2, 5): 1})
+        start = time.perf_counter()
+        flat = normalize(ConnSum({inner: 10**7}))
+        assert time.perf_counter() - start < 1
+        assert flat == ConnSum({K(2, 3): 10**7, K(2, 5): 10**7})
 
     def test_summands_expand_in_sort_key_order(self):
         p = Product((CIRCLE, Surface(2)))
