@@ -105,6 +105,16 @@ class _Parser:
         self.pos += 1
         return self.tokens[self.pos - 1][1]
 
+    def take_int(self) -> int:
+        _, _, line, column = self.tokens[self.pos]
+        text = self.take("int")
+        try:
+            return int(text)
+        except ValueError:  # beyond Python's limit on int() digits
+            raise ParseError(
+                f"integer of {len(text.lstrip('-'))} digits is too long", line, column
+            ) from None
+
     def parse_expr(self) -> ManifoldExpr:
         factors = [self.parse_term()]
         while self.peek() == "x":
@@ -131,15 +141,15 @@ class _Parser:
         if kind == "S":
             self.take("S")
             self.take("(")
-            genus = int(self.take("int"))
+            genus = self.take_int()
             self.take(")")
             return Surface(genus)
         if kind == "K":
             self.take("K")
             self.take("(")
-            genus = int(self.take("int"))
+            genus = self.take_int()
             self.take(";")
-            euler = int(self.take("int"))
+            euler = self.take_int()
             self.take(")")
             return CircleBundle(genus, euler)
         if kind == "(":
@@ -180,8 +190,9 @@ def _print(m: ManifoldExpr) -> str:
     if isinstance(m, CircleBundle):
         return f"K({m.base_genus};{m.euler})"
     if isinstance(m, ConnSum):
-        parts = [
-            f"({_print(s)})" if isinstance(s, Product) else _print(s) for s in m.summands
-        ]
+        parts: list[str] = []
+        for s, count in m.counts:
+            text = _print(s)
+            parts += [f"({text})" if isinstance(s, Product) else text] * count
         return " # ".join(parts)
     return " x ".join(_print(f) for f in m.factors)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Optional
+from itertools import chain, permutations
+from typing import Iterator, Optional
 
 from . import intset
 from .dsl import print_expr
@@ -485,24 +485,28 @@ def _chain_search(
 
 def _pairings(
     mf: tuple[ManifoldExpr, ...], nf: tuple[ManifoldExpr, ...]
-) -> list[list[tuple[ManifoldExpr, ManifoldExpr]]]:
+) -> Iterator[list[tuple[ManifoldExpr, ManifoldExpr]]]:
+    """The distinct dimension-compatible pairings of mf with nf, lazily, in
+    permutation order.  Two permutations give the same pairing exactly when
+    they differ by swapping equal factors of nf, so a pairing is told apart
+    by the ids of the distinct nf factors it uses."""
     mdims = [dimension(f) for f in mf]
-    out: list[list[tuple[ManifoldExpr, ManifoldExpr]]] = []
-    seen: set[tuple] = set()
+    ndims = [dimension(f) for f in nf]
+    ids: dict[ManifoldExpr, int] = {}
+    nids = [ids.setdefault(f, len(ids)) for f in nf]
+    seen: set[tuple[int, ...]] = set()
     if len(mf) > 6:
         perms = [tuple(range(len(nf)))]
     else:
         perms = permutations(range(len(nf)))
     for perm in perms:
-        if any(mdims[i] != dimension(nf[p]) for i, p in enumerate(perm)):
+        if any(mdims[i] != ndims[p] for i, p in enumerate(perm)):
             continue
-        pairing = [(mf[i], nf[p]) for i, p in enumerate(perm)]
-        key = tuple(pairing)
+        key = tuple(nids[p] for p in perm)
         if key in seen:
             continue
         seen.add(key)
-        out.append(pairing)
-    return out
+        yield [(mf[i], nf[p]) for i, p in enumerate(perm)]
 
 
 def _product_pair(m: Product, n: Product) -> SetBound:
@@ -510,12 +514,12 @@ def _product_pair(m: Product, n: Product) -> SetBound:
     if len(mf) != len(nf):
         return _undetermined(m, n, "products with different factor counts")
     pairings = _pairings(mf, nf)
-    if not pairings:
+    # the first pairing is the positional one whenever that is compatible
+    lower_pairing = next(pairings, None)
+    if lower_pairing is None:
         return _undetermined(m, n, "no dimension-compatible factor pairing")
 
     trace: list[RuleApplication] = []
-    positional = [(a, b) for a, b in zip(mf, nf)]
-    lower_pairing = positional if positional in pairings else pairings[0]
     children = [_bounds(a, b) for a, b in lower_pairing]
     for child in children:
         trace.extend(child.trace)
@@ -540,7 +544,7 @@ def _product_pair(m: Product, n: Product) -> SetBound:
         return _make_bound(lower, ALL_INTEGERS, trace)
 
     if all(dimension(f) == 3 for f in mf):
-        for pairing in pairings:
+        for pairing in chain([lower_pairing], pairings):
             children = [_bounds(a, b) for a, b in pairing]
             if not all(c.exact for c in children):
                 continue
@@ -577,23 +581,28 @@ def _product_pair(m: Product, n: Product) -> SetBound:
 # serialization
 
 
-def _jsonable_value(v: object) -> object:
+def _jsonable_value(v: object, printed: dict[ManifoldExpr, str]) -> object:
     if isinstance(v, DegreeSet):
         return intset.to_jsonable(v)
     if isinstance(v, (Circle, Surface, CircleBundle, ConnSum, Product)):
-        return print_expr(v)
+        text = printed.get(v)
+        if text is None:
+            text = printed[v] = print_expr(v)
+        return text
     if isinstance(v, (tuple, list)):
-        return [_jsonable_value(x) for x in v]
+        return [_jsonable_value(x, printed) for x in v]
     return v
 
 
 def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
+    # most expressions recur from step to step: print each one once
+    printed: dict[ManifoldExpr, str] = {}
     return [
         {
             "rule": e.rule,
-            "inputs": [_jsonable_value(x) for x in e.inputs],
+            "inputs": [_jsonable_value(x, printed) for x in e.inputs],
             "produced": intset.to_jsonable(e.produced),
-            "details": {k: _jsonable_value(v) for k, v in e.details},
+            "details": {k: _jsonable_value(v, printed) for k, v in e.details},
         }
         for e in trace
     ]

@@ -39,6 +39,12 @@ class TestCompute:
         assert code == 2
         assert "error" in err
 
+    def test_integer_too_long_to_convert_is_usage_error(self, capsys):
+        # int() refuses more than 4,300 digits; that must not be an internal error
+        code, _, err = run(capsys, "compute", f"S({'1' * 5000}) -> S(1)")
+        assert code == 2
+        assert "too long at line 1, column 3" in err
+
     def test_missing_arrow_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "compute", "K(2;3)")
         assert code == 2

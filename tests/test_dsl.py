@@ -76,6 +76,13 @@ class TestParse:
             parse_expr(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_int_conversion_limit_is_syntax_error(self, sign):
+        with pytest.raises(ParseError) as err:
+            parse_expr(f"K(2;{sign}{'1' * 5000})")
+        assert (err.value.line, err.value.column) == (1, 5)
+        assert "5000 digits" in str(err.value)
+
     def test_missing_semicolon(self):
         with pytest.raises(ParseError) as err:
             parse_expr("K(2,3)")
@@ -114,6 +121,21 @@ class TestPrint:
         text = print_expr(expr)
         assert text == "K(2;1) # (S1 x S(2))"
         assert parse_expr(text) == normalize(expr)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(S1 x S1) # (S1 x S1) # S(2)", "S(2) # (S1 x S1) # (S1 x S1)"),
+            (
+                "(S1 x S(2)) # K(2;5) # (S1 x S(2)) # K(2;3) # K(2;3)",
+                "K(2;3) # K(2;3) # K(2;5) # (S1 x S(2)) # (S1 x S(2))",
+            ),
+        ],
+    )
+    def test_repeated_summands_print_once_per_copy(self, text, printed):
+        expr = parse_expr(text)
+        assert print_expr(expr) == printed
+        assert parse_expr(printed) == expr
 
     def test_round_trip_on_random_expressions(self):
         rng = random.Random(11)

@@ -292,6 +292,42 @@ class TestProducts:
         assert bound.lower == fin([0, 1, 2, 4])  # products of {0,1,2} with itself
 
 
+class TestPairings:
+    def test_lazy_with_the_positional_pairing_first(self):
+        mf = (K(2, 1), K(2, 2), K(2, 3))
+        nf = (K(2, 4), K(2, 5), K(2, 6))
+        pairings = engine._pairings(mf, nf)
+        assert iter(pairings) is pairings
+        assert next(pairings) == list(zip(mf, nf))
+        assert len(list(pairings)) == 5
+
+    def test_repeated_factors_give_each_pairing_once_in_permutation_order(self):
+        a, b, c, d = K(2, 1), K(2, 2), K(2, 3), K(2, 4)
+        assert list(engine._pairings((a, a, b), (c, c, d))) == [
+            [(a, c), (a, c), (b, d)],
+            [(a, c), (a, d), (b, c)],
+            [(a, d), (a, c), (b, c)],
+        ]
+
+    def test_incompatible_dimensions_are_skipped(self):
+        mf = (CIRCLE, Surface(2), K(2, 1))
+        nf = (Surface(3), K(2, 2), CIRCLE)
+        assert list(engine._pairings(mf, nf)) == [
+            [(mf[0], nf[2]), (mf[1], nf[0]), (mf[2], nf[1])]
+        ]
+        circles = (CIRCLE, CIRCLE, Surface(2)), (Surface(3), CIRCLE, CIRCLE)
+        assert list(engine._pairings(*circles)) == [
+            [(CIRCLE, CIRCLE), (CIRCLE, CIRCLE), (Surface(2), Surface(3))]
+        ]
+        assert list(engine._pairings((CIRCLE, K(2, 1)), (Surface(2), K(2, 1)))) == []
+
+    def test_more_than_six_factors_try_the_identity_only(self):
+        mf = tuple(K(2, e) for e in range(1, 8))
+        nf = tuple(K(2, e) for e in range(11, 18))
+        assert list(engine._pairings(mf, nf)) == [list(zip(mf, nf))]
+        assert list(engine._pairings(mf, nf[1:] + (CIRCLE,))) == []
+
+
 class TestDispatch:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):

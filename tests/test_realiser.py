@@ -235,8 +235,9 @@ class TestNextPrime:
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# Certificates whose JSON was recorded before connected sums were stored as
-# summand multisets; the bytes must not change with the representation.
+# Certificates whose JSON was recorded by earlier versions of the code (the
+# first six before connected sums were stored as summand multisets); the bytes
+# must not change with the representation or with how the rules search.
 GOLDEN_CASES = {
     "sumset_repeats": lambda: realise_sumset(SumsetFamily((2, 5), (200, 120), (150, 0))),
     "intervals": lambda: realise_arith_intervals(
@@ -246,6 +247,8 @@ GOLDEN_CASES = {
     "geometric_2_3": lambda: realise_geometric(Geometric((2, 3))),
     "geometric_3_3": lambda: realise_geometric(Geometric((3, 3))),
     "geometric_1_1": lambda: realise_geometric(Geometric((1, 1))),
+    # six blocks: the product rule has up to 720 factor pairings to choose from
+    "geometric_2_to_7": lambda: realise_geometric(Geometric((2, 3, 4, 5, 6, 7))),
 }
 
 
