@@ -292,6 +292,14 @@ class TestProducts:
         assert bound.lower == fin([0, 1, 2, 4])  # products of {0,1,2} with itself
 
 
+    def test_trivial_bundle_target_factor_is_not_domination_free(self):
+        # K(2;0) is the product of a surface and a circle, so a product
+        # source may dominate it and the chain's side condition fails
+        bound = degree_bounds(product(K(2, 1), K(2, -1)), product(K(2, 3), K(2, 0)))
+        assert not bound.exact
+        assert bound.lower == fin([0]) and bound.upper is None
+
+
 class TestPairings:
     def test_lazy_with_the_positional_pairing_first(self):
         mf = (K(2, 1), K(2, 2), K(2, 3))

@@ -12,12 +12,14 @@ from degreecalc.engine import degree_set_exact
 from degreecalc.intset import DegreeSet
 from degreecalc.manifold import normalize
 from degreecalc.realiser import (
+    BASE_GENUS,
     ArithIntervals,
     Geometric,
     InvalidSpec,
     SubsetSums,
     SumsetFamily,
     ZeroNotContained,
+    _geometric_blocks,
     _is_prime,
     certificate_from_json,
     certificate_to_json,
@@ -199,6 +201,16 @@ class TestGeometricRealisation:
             assert all(a < b for a, b in zip(qs, qs[1:]))
             assert qs[0] > max(d)
             assert degree_set_exact(cert.m, cert.n) == cert.target
+
+
+    def test_block_is_exact_for_the_primes_above_its_value(self):
+        # realise_geometric takes the primes above max(d, 2) untested
+        for d in range(1, 41):
+            q = max(d, 2)
+            for _ in range(3):
+                q = next_prime(q)
+                bound = engine._bounds(*_geometric_blocks(d, q, BASE_GENUS))
+                assert bound.exact and bound.lower == DegreeSet.finite((0, 1, d)), (d, q)
 
 
 class TestNextPrime:

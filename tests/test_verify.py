@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from degreecalc import engine
+from degreecalc.engine import RuleApplication
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle, conn_sum, dimension
+from degreecalc.manifold import CircleBundle, conn_sum, dimension, product
 from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
@@ -30,6 +31,7 @@ from degreecalc.verify import (
     brute_subset_products,
     brute_subset_sums,
     brute_sumset,
+    _recheck_entry,
     check_certificate,
     interval_union,
 )
@@ -377,6 +379,102 @@ class TestCheckCertificate:
         report = check_certificate(bad)
         assert not report.ok
         assert any("contains 0" in m for m in report.mismatches)
+
+
+K = CircleBundle
+
+
+class TestRecheck:
+    """Each recheck fires on a step that breaks its closed form, including
+    steps of a calculator whose product side conditions are mutated."""
+
+    @pytest.fixture
+    def cold_cache(self):
+        engine.clear_cache()
+        yield
+        engine.clear_cache()
+
+    @staticmethod
+    def _chain_mismatches(d):
+        report = check_certificate(realise_geometric(Geometric(d)))
+        return [m for m in report.mismatches if m.startswith("step product_exactness_chain")]
+
+    @pytest.mark.parametrize("d", [(1, 2, 4, 4, 8), (1, 1, 3, 3, 13)], ids=str)
+    def test_untested_kill_summand_is_caught(self, monkeypatch, cold_cache, d):
+        monkeypatch.setattr(
+            engine, "_kill_summand", lambda source, target: engine._bundle_summands(target)[0]
+        )
+        assert self._chain_mismatches(d)
+
+    def test_chain_without_kills_is_caught(self, monkeypatch, cold_cache):
+        monkeypatch.setattr(engine, "_chain_search", lambda pairs: (list(range(len(pairs))), []))
+        assert self._chain_mismatches((2, 3, 5))
+
+    def test_kill_by_an_euler_zero_bundle_is_accepted(self):
+        # K(2;-2) and K(2;4) both map to K(2;0) with closed form {0, 0/e} = {0}
+        bound = engine.degree_bounds(
+            product(K(3, 12), conn_sum(K(2, -2), K(2, 4))),
+            product(K(2, 6), conn_sum(K(2, 0), K(3, 2))),
+        )
+        chain = next(e for e in bound.trace if e.rule == "product_exactness_chain")
+        assert chain.detail("kills") == ((conn_sum(K(2, -2), K(2, 4)), K(2, 0)),)
+        problems = []
+        _recheck_entry(chain, problems)
+        assert problems == []
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                RuleApplication("circle_bundle_pair", (K(2, 2), K(2, 6)), fin([0, 2])),
+                "step circle_bundle_pair on (K(2;2), K(2;6)): "
+                "produced {0, 2}, closed form gives {0, 3}",
+            ),
+            (
+                RuleApplication(
+                    "pinch_to_submanifold",
+                    (conn_sum(K(2, 3), K(2, 4)), conn_sum(K(2, 3), K(2, 5))),
+                    fin([1]),
+                    (("degree", 1),),
+                ),
+                "step pinch_to_submanifold on (K(2;3) # K(2;4), K(2;3) # K(2;5)): "
+                "target summands are not a sub-multiset of the source",
+            ),
+            (
+                RuleApplication(
+                    "fiberwise_covering_lift",
+                    (conn_sum(K(2, 1), K(2, 1), K(2, 1)), K(2, 4)),
+                    fin([3]),
+                    (
+                        ("degree", 3),
+                        ("target_bundle", K(2, 4)),
+                        ("cover_bundle", K(2, 1)),
+                        ("copies_of_remaining_summands", 3),
+                    ),
+                ),
+                "step fiberwise_covering_lift on (K(2;1) # K(2;1) # K(2;1), K(2;4)): "
+                "3 does not divide Euler number 4 compatibly",
+            ),
+            (
+                RuleApplication(
+                    "product_exactness_chain",
+                    (product(K(2, 2), K(2, 3)), product(K(2, 4), K(2, 6))),
+                    fin([0, 2, 4]),
+                    (
+                        ("order", ((K(2, 2), K(2, 4)), (K(2, 3), K(2, 6)))),
+                        ("kills", ((K(2, 2), K(2, 6)),)),
+                    ),
+                ),
+                "step product_exactness_chain on (K(2;2) x K(2;3), K(2;4) x K(2;6)): "
+                "K(2;6) does not have degree set {0} from K(2;2)",
+            ),
+        ],
+        ids=["bundle_closed_form", "pinch", "covering_degree", "chain_non_kill"],
+    )
+    def test_broken_step_is_reported(self, entry, message):
+        problems = []
+        _recheck_entry(entry, problems)
+        assert problems == [message]
 
 
 def _rule_names(trace):
