@@ -445,41 +445,35 @@ def _chain_search(
     pairs: list[tuple[ManifoldExpr, ManifoldExpr]]
 ) -> Optional[tuple[list[int], list[tuple[ManifoldExpr, CircleBundle]]]]:
     """Find an evaluation order in which every later target factor both
-    resists product domination and kills the accumulated source factors."""
+    resists product domination and kills the accumulated source factors.
 
-    kills: list[tuple[ManifoldExpr, CircleBundle]] = []
+    Each step takes the lowest remaining index p such that every other
+    remaining target resists domination and kills source p.  Any part of a
+    valid order is itself valid, so the lowest index that may precede all
+    the rest is always the next element of the first valid order, which is
+    the one returned.  Each kill is tested at most once per call.
+    """
+    free = [is_product_domination_free(n) for _, n in pairs]
+    kill: dict[tuple[int, int], Optional[CircleBundle]] = {}
 
-    def admissible(placed: list[int], candidate: int) -> Optional[list]:
-        if not placed:
-            return []
-        _, n_c = pairs[candidate]
-        if not is_product_domination_free(n_c):
+    def precedes(p: int, c: int) -> bool:
+        if free[c] and (p, c) not in kill:
+            kill[p, c] = _kill_summand(pairs[p][0], pairs[c][1])
+        return free[c] and kill[p, c] is not None
+
+    order: list[int] = []
+    remaining = list(range(len(pairs)))
+    while remaining:
+        first = next(
+            (p for p in remaining if all(precedes(p, c) for c in remaining if c != p)), None
+        )
+        if first is None:
             return None
-        found = []
-        for p in placed:
-            q = pairs[p][0]
-            k = _kill_summand(q, n_c)
-            if k is None:
-                return None
-            found.append((q, k))
-        return found
-
-    def rec(placed: list[int], remaining: list[int]) -> Optional[list[int]]:
-        if not remaining:
-            return placed
-        for idx, candidate in enumerate(remaining):
-            step_kills = admissible(placed, candidate)
-            if step_kills is None:
-                continue
-            result = rec(placed + [candidate], remaining[:idx] + remaining[idx + 1 :])
-            if result is not None:
-                kills.extend(step_kills)
-                return result
-        return None
-
-    order = rec([], list(range(len(pairs))))
-    if order is None:
-        return None
+        order.append(first)
+        remaining.remove(first)
+    kills = []
+    for j in range(len(order) - 1, 0, -1):
+        kills.extend((pairs[p][0], kill[p, order[j]]) for p in order[:j])
     return order, kills
 
 

@@ -10,7 +10,7 @@ is an explicit error, never a silent truncation.
 :func:`check_certificate` accepts a certificate exactly when (a) the
 calculator reproduces its target from (M, N), (b) the family oracle
 reproduces its target from the spec, and (c) the recorded derivation equals
-the calculator's trace for (M, N) step for step, and that trace's steps
+the calculator's trace for (M, N) step for step, in type too, and its steps
 re-validate by closed forms that never call the calculator: the Euler-number
 quotient for bundle pairs, summand containment for pinches and covering
 lifts, and for product steps the domination form (every later target
@@ -351,16 +351,19 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
 
     if not cert.derivation:
         mismatches.append("derivation is empty")
-    elif cert.derivation != engine_bound.trace:
-        # a decoded derivation holds its expressions as text: compare JSON forms
+    elif cert.derivation is not engine_bound.trace:
+        # compare JSON forms: a decoded derivation holds its expressions as
+        # text, and equal steps may still record 2.0 for 2.  Inputs are checked
+        # texts and sets are re-encoded, so only details can differ in type.
         recorded = engine.trace_to_jsonable(cert.derivation)
-        steps = zip_longest(recorded, engine.trace_to_jsonable(engine_bound.trace))
-        step = next((i for i, (got, want) in enumerate(steps) if got != want), None)
-        if step is not None:
-            rule = recorded[step]["rule"] if step < len(recorded) else "missing"
-            mismatches.append(
-                f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"
-            )
+        fresh = engine.trace_to_jsonable(engine_bound.trace)
+        for step, (got, want) in enumerate(zip_longest(recorded, fresh)):
+            if got != want or not _same(got["details"], want["details"]):
+                rule = got["rule"] if got is not None else "missing"
+                mismatches.append(
+                    f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"
+                )
+                break
     for entry in engine_bound.trace:
         _recheck_entry(entry, mismatches)
     _check_params(cert, mismatches)

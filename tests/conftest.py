@@ -11,7 +11,12 @@ from degreecalc.manifold import (
     ManifoldExpr,
     Product,
     Surface,
+    conn_sum,
 )
+
+# Euler numbers for random bundle-sum factors: zero, units, a few that divide
+# one another and a few that do not, so both chain outcomes occur often.
+FACTOR_EULERS = (0, 1, -1, 2, -2, 3, 4, 5, 6, 12)
 
 
 def random_expr(rng: random.Random, depth: int = 0) -> ManifoldExpr:
@@ -52,3 +57,13 @@ def _random_conn_sum(rng: random.Random, depth: int) -> ManifoldExpr:
         # nest a same-dimension sum to exercise flattening
         inner.append(ConnSum(tuple(inner[:2])))
     return ConnSum(tuple(inner))
+
+
+def random_factor_pairs(rng: random.Random) -> list[tuple[ManifoldExpr, ManifoldExpr]]:
+    """2-5 (source, target) factor pairs, each side a connected sum of 1-3
+    circle bundles over the genus-2 surface."""
+    return [(_random_bundle_sum(rng), _random_bundle_sum(rng)) for _ in range(rng.randint(2, 5))]
+
+
+def _random_bundle_sum(rng: random.Random) -> ManifoldExpr:
+    return conn_sum(*(CircleBundle(2, rng.choice(FACTOR_EULERS)) for _ in range(rng.randint(1, 3))))

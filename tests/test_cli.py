@@ -5,7 +5,17 @@ import time
 
 import pytest
 
+from degreecalc import engine
 from degreecalc.cli import main
+
+
+# The first nine primes, and K(2;1) against K(2;0).  K(2;0) is not free of
+# product domination, so its pair must come first, and then no prime target
+# kills K(2;1): no factor order exists.  A backtracking search took seconds
+# to try every order of the primes before giving up.
+HOSTILE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+HOSTILE_M = " x ".join(f"K(2;{e})" for e in (1, *HOSTILE_PRIMES))
+HOSTILE_N = " x ".join(f"K(2;{e})" for e in (0, *HOSTILE_PRIMES))
 
 
 def run(capsys, *argv):
@@ -89,6 +99,15 @@ class TestCompute:
             f"  target_summand_intersection: K(2;1), K(2;1) # K(2;{e}) => {{0}}",
             f"  constant_map: K(2;1), K(2;1) # K(2;{e}) => {{0}}",
         ]
+        assert elapsed < 1.0
+
+    def test_hostile_product_pair_answers_quickly(self, capsys):
+        engine.clear_cache()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "compute", f"{HOSTILE_M} -> {HOSTILE_N}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[:2] == ["lower {0}", "upper unknown"]
         assert elapsed < 1.0
 
 
@@ -176,6 +195,20 @@ class TestVerify:
         bad.write_text("{}")
         code, _, _ = run(capsys, "verify", str(bad))
         assert code == 2
+
+    def test_hostile_product_pair_is_rejected_quickly(self, capsys, tmp_path):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "realize", "geom", "--values", "2", "--out", str(out_path))
+        payload = json.loads(out_path.read_text())
+        payload["M"], payload["N"] = HOSTILE_M, HOSTILE_N
+        out_path.write_text(json.dumps(payload))
+        engine.clear_cache()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(out_path))
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert "calculator does not decide the pair exactly" in out
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize(
         "values, part, key, value",

@@ -24,7 +24,7 @@ from degreecalc.manifold import (
     product,
 )
 
-from conftest import random_expr
+from conftest import random_expr, random_factor_pairs
 
 fin = DegreeSet.finite
 
@@ -298,6 +298,89 @@ class TestProducts:
         bound = degree_bounds(product(K(2, 1), K(2, -1)), product(K(2, 3), K(2, 0)))
         assert not bound.exact
         assert bound.lower == fin([0]) and bound.upper is None
+
+
+def backtracking_chain_search(pairs):
+    """The exhaustive chain search the greedy one replaced, kept as reference:
+    depth first over orders in index order, re-testing kills on every branch."""
+    kills = []
+
+    def admissible(placed, candidate):
+        if not placed:
+            return []
+        _, n_c = pairs[candidate]
+        if not engine.is_product_domination_free(n_c):
+            return None
+        found = []
+        for p in placed:
+            q = pairs[p][0]
+            k = engine._kill_summand(q, n_c)
+            if k is None:
+                return None
+            found.append((q, k))
+        return found
+
+    def rec(placed, remaining):
+        if not remaining:
+            return placed
+        for idx, candidate in enumerate(remaining):
+            step_kills = admissible(placed, candidate)
+            if step_kills is None:
+                continue
+            result = rec(placed + [candidate], remaining[:idx] + remaining[idx + 1 :])
+            if result is not None:
+                kills.extend(step_kills)
+                return result
+        return None
+
+    order = rec([], list(range(len(pairs))))
+    if order is None:
+        return None
+    return order, kills
+
+
+class TestChainSearch:
+    def test_matches_the_backtracking_reference(self):
+        rng = random.Random(1207)
+        found = 0
+        for _ in range(1000):
+            pairs = random_factor_pairs(rng)
+            expected = backtracking_chain_search(pairs)
+            assert engine._chain_search(pairs) == expected, pairs
+            found += expected is not None
+        # both outcomes are covered
+        assert 250 <= found <= 750
+
+    @pytest.mark.parametrize(
+        "target, exact",
+        [
+            ("K(2;6) x K(2;12) x K(2;18) x K(2;24) x K(2;30) x K(2;60)", False),
+            ("K(2;1) x K(2;2) x K(2;3) x K(2;4) x K(2;5) x K(2;6)", True),
+        ],
+        ids=["undecided", "decided"],
+    )
+    def test_each_kill_is_tested_once_per_search(self, monkeypatch, target, exact):
+        # backtracking made 51,504 kill tests over the 720 searches of the
+        # undecided pair, and 412 in the one search of the decided pair
+        engine.clear_cache()
+        calls = []
+        kill_summand, chain_search = engine._kill_summand, engine._chain_search
+
+        def counted_kill_summand(source, target):
+            calls[-1] += 1
+            return kill_summand(source, target)
+
+        def counted_chain_search(pairs):
+            calls.append(0)
+            return chain_search(pairs)
+
+        monkeypatch.setattr(engine, "_kill_summand", counted_kill_summand)
+        monkeypatch.setattr(engine, "_chain_search", counted_chain_search)
+        m = parse_expr("K(2;1) x K(2;2) x K(2;3) x K(2;4) x K(2;5) x K(2;6)")
+        bound = degree_bounds(m, parse_expr(target))
+        engine.clear_cache()
+        assert calls and max(calls) <= 30
+        assert bound.exact == exact
 
 
 class TestPairings:

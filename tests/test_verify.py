@@ -42,7 +42,7 @@ fin = DegreeSet.finite
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# one certificate per construction, for the params edits
+# one certificate per construction, for the params and derivation edits
 PARAMS_CERTS = {
     "subset_sums": realise_subset_sums(SubsetSums((-2, 0, 3))),
     "intervals": realise_arith_intervals(ArithIntervals(((-2, -1), (0, 1), (2, 3)))),
@@ -301,6 +301,27 @@ class TestCheckCertificate:
         report = check_certificate(certificate_from_json(json.dumps(payload)))
         assert not report.ok
         assert any("not the calculator's trace" in m for m in report.mismatches)
+
+    @pytest.mark.parametrize(
+        "cert, rule, key, value",
+        [
+            (PARAMS_CERTS["geometric"], "circle_bundle_pair", "quotient", 2.0),
+            (PARAMS_CERTS["intervals"], "connected_sum_source_sum", "exact", 1),
+        ],
+        ids=["float_quotient", "int_exact"],
+    )
+    def test_derivation_detail_of_another_json_type_is_a_mismatch(self, cert, rule, key, value):
+        # 2.0 == 2 and 1 == True in Python, but not in the certificate format
+        step = next(i for i, e in enumerate(cert.derivation) if e.rule == rule)
+        entry = cert.derivation[step]
+        details = tuple((k, value if k == key else v) for k, v in entry.details)
+        derivation = list(cert.derivation)
+        derivation[step] = dataclasses.replace(entry, details=details)
+        bad = dataclasses.replace(cert, derivation=tuple(derivation))
+        for candidate in (bad, certificate_from_json(certificate_to_json(bad))):
+            assert check_certificate(candidate).mismatches == (
+                f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)",
+            )
 
     def test_source_summands_must_match_family(self):
         cert = realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1)))
