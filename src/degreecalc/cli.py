@@ -10,12 +10,14 @@ Subcommands::
 
 ``realize`` writes certificate JSON to ``--out`` (stdout by default).
 Exit codes: 0 success, 1 failed verification, 2 usage or input error,
-3 internal error.
+3 internal error.  A closed stdout ends the process by SIGPIPE, as it does
+``cat``.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -208,6 +210,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    # not in main, which tests and probes call in process
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

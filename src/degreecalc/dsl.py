@@ -10,7 +10,7 @@ Grammar::
           | '(' expr ')'
     int  := '-'? [0-9]+               ASCII digits only
 
-Whitespace is insignificant.  Parsing normalizes the result, and
+Whitespace is insignificant.  Parsed expressions are canonical as built, and
 :func:`print_expr` emits the canonical text, so
 ``parse_expr(print_expr(e)) == normalize(e)`` for every well-formed ``e``.
 """
@@ -165,20 +165,20 @@ class _Parser:
 
 
 def parse_expr(text: str) -> ManifoldExpr:
-    """Parse and normalize a manifold expression."""
+    """Parse a manifold expression."""
     parser = _Parser(_tokenize(text))
     try:
         expr = parser.parse_expr()
         kind, word, line, column = parser.tokens[parser.pos]
         if kind != "end":
             raise ParseError(f"trailing input {word!r}", line, column, ("end of input",))
-        return normalize(expr)
+        return expr
     except MalformedExpr as exc:
         raise SemanticError(str(exc)) from exc
 
 
 def print_expr(m: ManifoldExpr) -> str:
-    """Canonical text for an expression (normalizes first)."""
+    """Canonical text for an expression (a one-summand sum prints as its summand)."""
     return _print(normalize(m))
 
 

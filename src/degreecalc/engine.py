@@ -9,8 +9,9 @@ target, factor projections).  Exactness is not a flag but the coincidence of
 the two, so the calculator cannot silently overclaim on pairs the rules do
 not cover.
 
-All functions are pure and deterministic; results on an expression pair and
-on its normalized form are identical because inputs are normalized up front.
+All functions are pure and deterministic.  Expressions are canonical as
+constructed, except a one-summand connected sum, which :func:`degree_bounds`
+collapses up front; so equal manifolds always get identical results.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ RULE_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class RuleApplication:
-    """One rule firing: which rule, on what inputs, producing which degrees."""
+    """One rule firing: which rule, on what inputs, producing which degrees.
+    A step decoded from a certificate holds each of these as its JSON."""
 
     rule: str
     inputs: tuple[ManifoldExpr, ...]
@@ -117,6 +119,7 @@ def _make_bound(
 
 _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
 _CACHE_MAX = 4096
+_SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
 
 
 def clear_cache() -> None:
@@ -282,16 +285,14 @@ def _counter_key(c: Counter) -> tuple:
     return tuple(sorted(((sort_key(e), cnt) for e, cnt in c.items())))
 
 
-def _achievable_sums(
-    constructions: list[tuple[int, Counter]], capacity: Counter, budget: int = 20000
-) -> set[int]:
+def _achievable_sums(constructions: list[tuple[int, Counter]], capacity: Counter) -> set[int]:
     """All degree totals from packing constructions disjointly into capacity.
 
     Constructions may repeat as long as their carriers still fit.  The
-    traversal order is fixed, so the budget cuts a deterministic prefix.
+    traversal order is fixed, so the node budget cuts a deterministic prefix.
     """
     sums: set[int] = set()
-    nodes = [budget]
+    nodes = [_SUMS_BUDGET]
 
     def rec(idx: int, remaining: Counter, acc: int) -> None:
         if nodes[0] <= 0:
@@ -595,7 +596,7 @@ def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
         {
             "rule": e.rule,
             "inputs": [_jsonable_value(x, printed) for x in e.inputs],
-            "produced": intset.to_jsonable(e.produced),
+            "produced": _jsonable_value(e.produced, printed),
             "details": {k: _jsonable_value(v, printed) for k, v in e.details},
         }
         for e in trace

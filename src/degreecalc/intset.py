@@ -95,10 +95,6 @@ class DegreeSet:
     def is_empty(self) -> bool:
         return self.elements is not None and len(self.elements) == 0
 
-    @property
-    def kind(self) -> str:
-        return "all_integers" if self.is_all else "finite"
-
     def __contains__(self, d: int) -> bool:
         return contains(self, d)
 

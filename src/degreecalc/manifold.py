@@ -3,10 +3,11 @@
 The expression language covers exactly the families the degree calculus
 handles: the circle, closed oriented surfaces, oriented circle bundles over
 hyperbolic surfaces, connected sums, and direct products.  Values are
-immutable and hashable.  A connected sum is stored as the multiset of its
-summands; :func:`normalize` puts expressions in a canonical form (flattened,
-sorted, singleton sums collapsed) so that structurally equal manifolds
-compare equal.
+immutable, hashable and canonical by construction: a connected sum is stored
+as the sorted multiset of its summands with nested sums merged in, and a
+product stores its factors flattened and sorted, so structurally equal
+manifolds compare equal.  The one non-canonical value a constructor still
+builds is a one-summand sum, which :func:`normalize` collapses.
 """
 
 from __future__ import annotations
@@ -65,15 +66,22 @@ class ConnSum:
     Stored as a multiset: ``counts`` holds each distinct summand once, in
     :func:`sort_key` order, with its multiplicity.  The constructor takes the
     summands with repeats, e.g. ``ConnSum((a, b, a))``, or a mapping from
-    summand to positive count, e.g. ``ConnSum({a: 2, b: 1})``.
+    summand to positive count, e.g. ``ConnSum({a: 2, b: 1})``; a summand that
+    is itself a sum is merged in, its counts multiplied by its own count.
     """
 
     counts: tuple[tuple["ManifoldExpr", int], ...]
 
     def __init__(self, summands: Iterable["ManifoldExpr"]):
         counts = Counter(summands)
+        for inner in [s for s in counts if isinstance(s, ConnSum)]:
+            c = counts.pop(inner)
+            for s, k in inner.counts:
+                counts[s] += k * c
         if not counts:
             raise MalformedExpr("connected sum needs at least one summand")
+        if min(counts.values()) < 1:
+            raise MalformedExpr("connected sum counts must be positive")
         dims = {dimension(s) for s in counts}
         if len(dims) > 1:
             raise MalformedExpr(f"connected sum of mixed dimensions {sorted(dims)}")
@@ -90,13 +98,22 @@ class ConnSum:
 
 @dataclass(frozen=True)
 class Product:
-    """Direct product of at least two manifolds."""
+    """Direct product of at least two manifolds, stored with one-summand
+    sums collapsed, nested products flattened and factors in :func:`sort_key`
+    order."""
 
     factors: tuple["ManifoldExpr", ...]
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:
             raise MalformedExpr("product needs at least two factors")
+        flat: list[ManifoldExpr] = []
+        for f in map(normalize, self.factors):
+            if isinstance(f, Product):
+                flat.extend(f.factors)
+            else:
+                flat.append(f)
+        object.__setattr__(self, "factors", tuple(sorted(flat, key=sort_key)))
 
 
 ManifoldExpr = Union[Circle, Surface, CircleBundle, ConnSum, Product]
@@ -105,13 +122,13 @@ CIRCLE = Circle()
 
 
 def conn_sum(*summands: ManifoldExpr) -> ManifoldExpr:
-    """Normalized connected sum of the given summands."""
+    """Connected sum of the given summands; one summand is returned as is."""
     return normalize(ConnSum(tuple(summands)))
 
 
 def product(*factors: ManifoldExpr) -> ManifoldExpr:
-    """Normalized direct product of the given factors."""
-    return normalize(Product(tuple(factors)))
+    """Direct product of the given factors."""
+    return Product(tuple(factors))
 
 
 def dimension(m: ManifoldExpr) -> int:
@@ -146,36 +163,17 @@ def sort_key(m: ManifoldExpr) -> tuple:
 
 
 def normalize(m: ManifoldExpr) -> ManifoldExpr:
-    """Canonical form: same-kind children flattened, children sorted,
-    single-summand connected sums collapsed.  Idempotent, and preserves the
-    multiset of leaves; an input already in canonical form is returned as is."""
-    if isinstance(m, (Circle, Surface, CircleBundle)):
-        return m
+    """Canonical form: a one-summand connected sum collapses to its summand;
+    every other expression is canonical as constructed and returned as is."""
     if isinstance(m, ConnSum):
-        children = tuple((normalize(s), c) for s, c in m.counts)
-        nested = any(isinstance(t, ConnSum) for t, _ in children)
-        if children == m.counts and not nested and sum(c for _, c in children) > 1:
-            return m
-        merged: Counter = Counter()
-        for t, c in children:
-            for u, k in t.counts if isinstance(t, ConnSum) else ((t, 1),):
-                merged[u] += k * c
-        return next(iter(merged)) if merged.total() == 1 else ConnSum(merged)
-    if isinstance(m, Product):
-        flat = []
-        for f in m.factors:
-            f = normalize(f)
-            if isinstance(f, Product):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        ordered = tuple(sorted(flat, key=sort_key))
-        return m if ordered == m.factors else Product(ordered)
+        return m.counts[0][0] if len(m.counts) == 1 and m.counts[0][1] == 1 else m
+    if isinstance(m, (Circle, Surface, CircleBundle, Product)):
+        return m
     raise MalformedExpr(f"not a manifold expression: {m!r}")
 
 
 def summand_multiset(m: ManifoldExpr) -> Counter:
-    """The connected summands of a normalized expression, as a multiset.
+    """The connected summands of an expression, as a multiset.
 
     Non-sums count as a single summand of themselves.
     """
@@ -214,9 +212,5 @@ def is_product_domination_free(n: ManifoldExpr) -> bool:
     if isinstance(n, CircleBundle):
         return n.euler != 0
     if isinstance(n, ConnSum):
-        return any(
-            isinstance(s, CircleBundle) and s.euler != 0 for s, _ in n.counts
-        ) or any(
-            isinstance(s, ConnSum) and is_product_domination_free(s) for s, _ in n.counts
-        )
+        return any(isinstance(s, CircleBundle) and s.euler != 0 for s, _ in n.counts)
     return False

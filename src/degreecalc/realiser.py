@@ -19,7 +19,7 @@ certificate with it by equality.  Every realisation returns a
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
 and calculus agree.  A certificate decoded from JSON keeps its derivation as
-recorded: step inputs and expressions inside step details stay text, for the
+recorded: step inputs, produced sets and details stay as their JSON, for the
 checker to compare with a fresh trace.
 """
 
@@ -196,8 +196,8 @@ def _sumset_construction(
         counts[-di_p] = counts.get(-di_p, 0) + npi
     summands = {CircleBundle(genus, e): k for e, k in counts.items() if k}
     params: dict[str, object] = {"d_prime": d_prime, "d_i_prime": d_i_prime, "base_genus": genus}
-    if summands:  # a one-summand sum is the summand itself
-        m_expr = ConnSum(summands) if sum(summands.values()) > 1 else next(iter(summands))
+    if summands:
+        m_expr = normalize(ConnSum(summands))
     else:
         # All multiplicities zero: the only representable value is 0, which a
         # bundle pair with non-dividing Euler numbers realises exactly.
@@ -276,7 +276,6 @@ def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, Manifol
     K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1."""
     source = Counter({CircleBundle(genus, q): d})
     source.update((CircleBundle(genus, d), CircleBundle(genus, d * d)))
-    # sums of two or more bundles are already in normal form
     return ConnSum(source), ConnSum((CircleBundle(genus, q), CircleBundle(genus, d * d)))
 
 
@@ -294,8 +293,8 @@ def _geometric_construction(
     if len(blocks) == 1:
         m_expr, n_expr = blocks[0]
     else:
-        m_expr = normalize(Product(tuple(b[0] for b in blocks)))
-        n_expr = normalize(Product(tuple(b[1] for b in blocks)))
+        m_expr = Product(tuple(b[0] for b in blocks))
+        n_expr = Product(tuple(b[1] for b in blocks))
     d_max, ascending = max(spec.d), all(a < b for a, b in zip(qs, qs[1:]))
     params: dict[str, object] = {
         "q": list(qs),
@@ -395,9 +394,8 @@ def _entry_from_jsonable(obj: dict) -> RuleApplication:
     inputs = obj.get("inputs", [])
     if not (isinstance(inputs, list) and all(isinstance(x, str) for x in inputs)):
         raise MalformedCertificate(f"derivation inputs must be expression texts, got {inputs!r}")
-    produced = intset.from_jsonable(obj["produced"])
     details = tuple(obj.get("details", {}).items())
-    return RuleApplication(obj["rule"], tuple(inputs), produced, details)
+    return RuleApplication(obj["rule"], tuple(inputs), obj["produced"], details)
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:

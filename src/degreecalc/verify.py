@@ -352,13 +352,13 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
     if not cert.derivation:
         mismatches.append("derivation is empty")
     elif cert.derivation is not engine_bound.trace:
-        # compare JSON forms: a decoded derivation holds its expressions as
-        # text, and equal steps may still record 2.0 for 2.  Inputs are checked
-        # texts and sets are re-encoded, so only details can differ in type.
+        # compare JSON forms: a decoded derivation holds its steps as
+        # recorded, and equal steps may still record 2.0 for 2.  Inputs are
+        # checked texts, so only produced sets and details can differ in type.
         recorded = engine.trace_to_jsonable(cert.derivation)
         fresh = engine.trace_to_jsonable(engine_bound.trace)
         for step, (got, want) in enumerate(zip_longest(recorded, fresh)):
-            if got != want or not _same(got["details"], want["details"]):
+            if got != want or not all(_same(got[k], want[k]) for k in ("produced", "details")):
                 rule = got["rule"] if got is not None else "missing"
                 mismatches.append(
                     f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"

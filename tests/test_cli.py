@@ -1,7 +1,12 @@
 """Command-line behavior: flows, exit codes, output stability."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,9 @@ from degreecalc.cli import main
 HOSTILE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 HOSTILE_M = " x ".join(f"K(2;{e})" for e in (1, *HOSTILE_PRIMES))
 HOSTILE_N = " x ".join(f"K(2;{e})" for e in (0, *HOSTILE_PRIMES))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -109,6 +117,24 @@ class TestCompute:
         assert code == 0
         assert out.splitlines()[:2] == ["lower {0}", "upper unknown"]
         assert elapsed < 1.0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_a_message():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "degreecalc.cli", "compute", "K(2;1) -> K(2;1)"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == -signal.SIGPIPE
+    assert result.stderr == b""
 
 
 class TestRealize:

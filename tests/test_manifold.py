@@ -51,6 +51,12 @@ class TestDimension:
         with pytest.raises(MalformedExpr):
             ConnSum((CIRCLE, CIRCLE))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_summand_count_rejected(self, count):
+        # a zero count would make a second value for K(2;3) # K(2;3)
+        with pytest.raises(MalformedExpr):
+            ConnSum({K(2, 1): count, K(2, 3): 2})
+
     def test_low_genus_bundle_rejected(self):
         with pytest.raises(MalformedExpr):
             K(1, 3)
@@ -107,6 +113,21 @@ class TestNormalize:
         assert conn_sum(K(2, 3), K(2, 1)) == ConnSum((K(2, 1), K(2, 3)))
         assert conn_sum(K(2, 3)) == K(2, 3)
         assert product(Surface(1), CIRCLE) == Product((CIRCLE, Surface(1)))
+
+
+class TestCanonicalConstruction:
+    def test_product_sorts_its_factors(self):
+        assert Product((Surface(1), CIRCLE)).factors == (CIRCLE, Surface(1))
+
+    def test_product_flattens_and_collapses_its_factors(self):
+        p = Product((Product((Surface(1), CIRCLE)), ConnSum((Surface(2),))))
+        assert p.factors == (CIRCLE, Surface(1), Surface(2))
+
+    def test_random_expressions_are_built_canonical(self):
+        rng = random.Random(11)
+        for _ in range(5000):
+            e = random_expr(rng)
+            assert normalize(e) is e
 
 
 class TestPi2Trivial:
@@ -176,13 +197,15 @@ class TestMultisetRepresentation:
         a, b = K(2, 1), K(2, 3)
         nested = ConnSum((a, ConnSum((b, a))))
         assert normalize(nested).counts == ConnSum((a, a, b)).counts
+        assert nested.counts == ((a, 2), (b, 1))
+        assert ConnSum((ConnSum((b, a)), ConnSum((a,)))).counts == ((a, 2), (b, 1))
         twice = ConnSum((ConnSum((a, b)), ConnSum((b, a))))
         assert normalize(twice).counts == ((a, 2), (b, 2))
 
     def test_flattening_merges_counts_without_expanding_copies(self):
         inner = ConnSum({K(2, 3): 1, K(2, 5): 1})
         start = time.perf_counter()
-        flat = normalize(ConnSum({inner: 10**7}))
+        flat = ConnSum({inner: 10**7})
         assert time.perf_counter() - start < 1
         assert flat == ConnSum({K(2, 3): 10**7, K(2, 5): 10**7})
 

@@ -323,6 +323,30 @@ class TestCheckCertificate:
                 f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)",
             )
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda elements: elements[::-1],
+            lambda elements: elements + elements[-1:],
+            lambda elements: elements[:-1] + [float(elements[-1])],
+        ],
+        ids=["reordered", "repeated", "float"],
+    )
+    def test_produced_set_is_kept_as_recorded(self, tamper):
+        payload = json.loads(certificate_to_json(realise_geometric(Geometric((2, 3)))))
+        step, entry = next(
+            (i, e)
+            for i, e in enumerate(payload["derivation"])
+            if len(e["produced"].get("elements", ())) > 1
+        )
+        entry["produced"]["elements"] = tamper(entry["produced"]["elements"])
+        text = json.dumps(payload, indent=2)
+        cert = certificate_from_json(text)
+        assert certificate_to_json(cert) == text
+        assert check_certificate(cert).mismatches == (
+            f"derivation step {step + 1} is {entry['rule']}, not the calculator's trace for (M, N)",
+        )
+
     def test_source_summands_must_match_family(self):
         cert = realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1)))
         bad = dataclasses.replace(cert, m=conn_sum(CircleBundle(2, 1), CircleBundle(2, 3)))
