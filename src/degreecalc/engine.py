@@ -71,8 +71,7 @@ RULE_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class RuleApplication:
-    """One rule firing: which rule, on what inputs, producing which degrees.
-    A step decoded from a certificate holds each of these as its JSON."""
+    """One rule firing: which rule, on what inputs, producing which degrees."""
 
     rule: str
     inputs: tuple[ManifoldExpr, ...]

@@ -18,9 +18,9 @@ certificate with it by equality.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
-and calculus agree.  A certificate decoded from JSON keeps its derivation as
-recorded: step inputs, produced sets and details stay as their JSON, for the
-checker to compare with a fresh trace.
+and calculus agree.  Only the JSON value that :func:`certificate_to_jsonable`
+writes decodes, and a decoded certificate keeps its derivation as that JSON
+list of steps, for the checker to compare with a fresh trace.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from . import engine, intset
@@ -123,7 +123,7 @@ class Certificate:
     m: ManifoldExpr
     n: ManifoldExpr
     params: Mapping[str, object]
-    derivation: tuple[RuleApplication, ...]
+    derivation: tuple[RuleApplication, ...] | list[dict]  # a trace, or decoded JSON
 
 
 def _certified(
@@ -334,45 +334,55 @@ def realise_geometric(spec: Geometric) -> Certificate:
 # serialization
 
 
+_SPECS = {
+    "sumset_family": SumsetFamily,
+    "arith_intervals": ArithIntervals,
+    "subset_sums": SubsetSums,
+    "geometric": Geometric,
+}
+_VARIANTS = {cls: variant for variant, cls in _SPECS.items()}
+
+
+def _lists(v: object) -> object:
+    return [_lists(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _int_tuples(v: object, depth: int) -> tuple:
+    """The JSON list ``v`` as tuples nested ``depth`` deep over integers."""
+    if not isinstance(v, list) or (depth == 1 and not all(type(x) is int for x in v)):
+        raise ValueError(f"expected integer lists nested {depth} deep, got {v!r}")
+    return tuple(v) if depth == 1 else tuple(_int_tuples(x, depth - 1) for x in v)
+
+
 def spec_to_jsonable(spec: RealisationSpec) -> dict:
-    if isinstance(spec, SumsetFamily):
-        return {
-            "variant": "sumset_family",
-            "d": list(spec.d),
-            "n": list(spec.n),
-            "nprime": list(spec.nprime),
-        }
-    if isinstance(spec, ArithIntervals):
-        return {"variant": "arith_intervals", "bounds": [list(b) for b in spec.bounds]}
-    if isinstance(spec, SubsetSums):
-        return {"variant": "subset_sums", "d": list(spec.d)}
-    if isinstance(spec, Geometric):
-        return {"variant": "geometric", "d": list(spec.d)}
-    raise TypeError(f"not a realisation spec: {spec!r}")
-
-
-def _ints(v: object) -> tuple[int, ...]:
-    if not (isinstance(v, list) and all(type(x) is int for x in v)):
-        raise ValueError(f"expected a list of integers, got {v!r}")
-    return tuple(v)
+    return {"variant": _VARIANTS[type(spec)]} | {
+        f.name: _lists(getattr(spec, f.name)) for f in fields(spec)
+    }
 
 
 def spec_from_jsonable(obj: object) -> RealisationSpec:
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError(f"not a serialized realisation spec: {obj!r}")
-    variant = obj["variant"]
-    try:
-        if variant == "sumset_family":
-            return SumsetFamily(_ints(obj["d"]), _ints(obj["n"]), _ints(obj["nprime"]))
-        if variant == "arith_intervals":
-            return ArithIntervals(tuple(_ints(b) for b in obj["bounds"]))
-        if variant == "subset_sums":
-            return SubsetSums(_ints(obj["d"]))
-        if variant == "geometric":
-            return Geometric(_ints(obj["d"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed spec payload: {obj!r}") from exc
-    raise ValueError(f"unknown spec variant: {variant!r}")
+    cls = _SPECS[obj["variant"]]
+    # annotations are text here: "tuple[int, ...]" or "tuple[tuple[int, int], ...]"
+    return cls(*(_int_tuples(obj[f.name], f.type.count("tuple[")) for f in fields(cls)))
+
+
+def _same(a: object, b: object) -> bool:
+    """Equality with equal types at every level, so a recorded 0 is not false and 1.0 not 1."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def derivation_to_jsonable(cert: Certificate) -> list[dict]:
+    """The derivation's JSON: a decoded one as recorded, a trace serialised."""
+    steps = cert.derivation
+    return steps if isinstance(steps, list) else engine.trace_to_jsonable(steps)
 
 
 def certificate_to_jsonable(cert: Certificate) -> dict:
@@ -382,7 +392,7 @@ def certificate_to_jsonable(cert: Certificate) -> dict:
         "M": print_expr(cert.m),
         "N": print_expr(cert.n),
         "params": dict(cert.params),
-        "derivation": engine.trace_to_jsonable(cert.derivation),
+        "derivation": derivation_to_jsonable(cert),
     }
 
 
@@ -390,15 +400,8 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_jsonable(cert), indent=2)
 
 
-def _entry_from_jsonable(obj: dict) -> RuleApplication:
-    inputs = obj.get("inputs", [])
-    if not (isinstance(inputs, list) and all(isinstance(x, str) for x in inputs)):
-        raise MalformedCertificate(f"derivation inputs must be expression texts, got {inputs!r}")
-    details = tuple(obj.get("details", {}).items())
-    return RuleApplication(obj["rule"], tuple(inputs), obj["produced"], details)
-
-
 def certificate_from_jsonable(obj: object) -> Certificate:
+    """Decode a certificate, provided it re-encodes to exactly ``obj``."""
     if not isinstance(obj, dict):
         raise MalformedCertificate(f"certificate must be an object, got {type(obj).__name__}")
     try:
@@ -406,12 +409,13 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         target = intset.from_jsonable(obj["target"])
         m = parse_expr(obj["M"])
         n = parse_expr(obj["N"])
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("params must be an object")
-        derivation = tuple(_entry_from_jsonable(e) for e in obj.get("derivation", []))
-    except MalformedCertificate:
-        raise
+        # a derivation that is not a list re-encodes as one, so it fails below
+        for step in obj["derivation"]:
+            inputs = step.get("inputs", []) if isinstance(step, dict) else None
+            if not (isinstance(inputs, list) and all(isinstance(x, str) for x in inputs)):
+                raise ValueError(f"not a step object with expression texts as inputs: {step!r}")
+        cert = Certificate(spec, target, m, n, obj["params"], obj["derivation"])
+        again = certificate_to_jsonable(cert)
     except Exception as exc:
         raise MalformedCertificate(f"cannot decode certificate: {exc}") from exc
     if target.is_all:
@@ -420,7 +424,9 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         raise MalformedCertificate("certificate target must contain 0")
     if dimension(m) != dimension(n):
         raise MalformedCertificate("certificate manifolds have different dimensions")
-    return Certificate(spec, target, m, n, params, derivation)
+    if not _same(again, obj):
+        raise MalformedCertificate("certificate is not in the form the realiser writes")
+    return cert
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -4,8 +4,8 @@ The oracles enumerate the defining formulas of the realisable families
 directly -- tuples of multiplicities, subsets, subset products -- without
 calling the calculator or the set algebra's sum/product operations, so they
 can serve as ground truth against both.  Enumeration sizes are capped; the
-cap is configuration (argument or ``DEGREECALC_ENUM_CAP``), and exceeding it
-is an explicit error, never a silent truncation.
+cap is configuration (``DEGREECALC_ENUM_CAP``), and exceeding it is an
+explicit error, never a silent truncation.
 
 :func:`check_certificate` accepts a certificate exactly when (a) the
 calculator reproduces its target from (M, N), (b) the family oracle
@@ -54,7 +54,9 @@ from .realiser import (
     _block_values,
     _geometric_construction,
     _is_prime,
+    _same,
     _sumset_construction,
+    derivation_to_jsonable,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -69,9 +71,7 @@ class InvalidEnumCap(ValueError):
     """The enumeration cap in the environment is not an integer."""
 
 
-def _resolve_cap(enum_cap: Optional[int]) -> int:
-    if enum_cap is not None:
-        return enum_cap
+def _resolve_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP)
     try:
         return int(raw)
@@ -79,12 +79,7 @@ def _resolve_cap(enum_cap: Optional[int]) -> int:
         raise InvalidEnumCap(f"{ENUM_CAP_ENV}={raw!r} is not an integer") from None
 
 
-def brute_sumset(
-    d: Sequence[int],
-    n: Sequence[int],
-    nprime: Sequence[int],
-    enum_cap: Optional[int] = None,
-) -> DegreeSet:
+def brute_sumset(d: Sequence[int], n: Sequence[int], nprime: Sequence[int]) -> DegreeSet:
     """Enumerate {sum m_i d_i | -n'_i <= m_i <= n_i} tuple by tuple."""
     if not (len(d) == len(n) == len(nprime)):
         raise ValueError("d, n, nprime must have equal lengths")
@@ -94,7 +89,7 @@ def brute_sumset(
         raise ValueError("family values d_i must be positive")
     if any(x < 0 for x in n) or any(x < 0 for x in nprime):
         raise ValueError("multiplicities must be >= 0")
-    cap = _resolve_cap(enum_cap)
+    cap = _resolve_cap()
     count = math.prod(ni + npi + 1 for ni, npi in zip(n, nprime))
     if count > cap:
         raise EnumerationTooLarge(f"{count} tuples exceed the cap of {cap}")
@@ -103,22 +98,25 @@ def brute_sumset(
     return DegreeSet.finite(sums)
 
 
-def brute_subset_sums(d: Sequence[int], enum_cap: Optional[int] = None) -> DegreeSet:
+def _check_subset_count(d: Sequence[int]) -> None:
+    """Refuse exactly when the 2^len(d) subsets exceed the cap, without building 2^len(d)."""
+    cap = _resolve_cap()
+    if cap < 1 or len(d) >= cap.bit_length():
+        raise EnumerationTooLarge(f"2^{len(d)} subsets exceed the cap of {cap}")
+
+
+def brute_subset_sums(d: Sequence[int]) -> DegreeSet:
     """Enumerate {sum over S of d_j | S a subset of the index set}."""
-    cap = _resolve_cap(enum_cap)
-    if len(d) > 25 or 2 ** len(d) > cap:
-        raise EnumerationTooLarge(f"2^{len(d)} subsets exceed the cap")
+    _check_subset_count(d)
     sums = {sum(x for i, x in enumerate(d) if mask >> i & 1) for mask in range(1 << len(d))}
     return DegreeSet.finite(sums)
 
 
-def brute_subset_products(d: Sequence[int], enum_cap: Optional[int] = None) -> DegreeSet:
+def brute_subset_products(d: Sequence[int]) -> DegreeSet:
     """Enumerate {0, 1} together with products over non-empty subsets."""
     if any(x < 1 for x in d):
         raise ValueError("subset-product values must be >= 1")
-    cap = _resolve_cap(enum_cap)
-    if len(d) > 25 or 2 ** len(d) > cap:
-        raise EnumerationTooLarge(f"2^{len(d)} subsets exceed the cap")
+    _check_subset_count(d)
     subsets = range(1, 1 << len(d))
     products = {math.prod(x for i, x in enumerate(d) if mask >> i & 1) for mask in subsets}
     return DegreeSet.finite({0, 1} | products)
@@ -129,16 +127,16 @@ def interval_union(bounds: Sequence[tuple[int, int]]) -> DegreeSet:
     return DegreeSet.finite(set().union(*(range(b, c + 1) for b, c in bounds)))
 
 
-def oracle_set(spec: object, enum_cap: Optional[int] = None) -> DegreeSet:
+def oracle_set(spec: object) -> DegreeSet:
     """The brute-force target for a realisation spec, by family."""
     if isinstance(spec, SumsetFamily):
-        return brute_sumset(spec.d, spec.n, spec.nprime, enum_cap)
+        return brute_sumset(spec.d, spec.n, spec.nprime)
     if isinstance(spec, ArithIntervals):
         return interval_union(spec.bounds)
     if isinstance(spec, SubsetSums):
-        return brute_subset_sums(spec.d, enum_cap)
+        return brute_subset_sums(spec.d)
     if isinstance(spec, Geometric):
-        return brute_subset_products(spec.d, enum_cap)
+        return brute_subset_products(spec.d)
     raise TypeError(f"no oracle for {type(spec).__name__}")
 
 
@@ -271,17 +269,6 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
                     )
 
 
-def _same(a: object, b: object) -> bool:
-    """Equality with equal types at every level, so a recorded 0 is not false and 1.0 not 1."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
-
 def _check_params(cert: Certificate, problems: list[str]) -> None:
     """The recorded free choices (base genus, geometric primes) must be
     admissible; M, N and the params must then equal the construction's."""
@@ -327,7 +314,7 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
                 )
 
 
-def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Report:
+def check_certificate(cert: Certificate) -> Report:
     """Re-derive a certificate from scratch and report every discrepancy."""
     mismatches: list[str] = []
 
@@ -341,7 +328,7 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
 
     oracle: Optional[DegreeSet] = None
     try:
-        oracle = oracle_set(cert.spec, enum_cap)
+        oracle = oracle_set(cert.spec)
         if not intset.equals(oracle, cert.target):
             mismatches.append(f"oracle result {oracle} != certificate target {cert.target}")
     except (EnumerationTooLarge, InvalidEnumCap):
@@ -352,14 +339,13 @@ def check_certificate(cert: Certificate, enum_cap: Optional[int] = None) -> Repo
     if not cert.derivation:
         mismatches.append("derivation is empty")
     elif cert.derivation is not engine_bound.trace:
-        # compare JSON forms: a decoded derivation holds its steps as
-        # recorded, and equal steps may still record 2.0 for 2.  Inputs are
-        # checked texts, so only produced sets and details can differ in type.
-        recorded = engine.trace_to_jsonable(cert.derivation)
+        # compare JSON forms, type-strictly: a decoded derivation is its JSON
+        # as recorded, which may hold 2.0 for 2 or an extra key
+        recorded = derivation_to_jsonable(cert)
         fresh = engine.trace_to_jsonable(engine_bound.trace)
         for step, (got, want) in enumerate(zip_longest(recorded, fresh)):
-            if got != want or not all(_same(got[k], want[k]) for k in ("produced", "details")):
-                rule = got["rule"] if got is not None else "missing"
+            if not _same(got, want):
+                rule = got.get("rule") if got is not None else "missing"
                 mismatches.append(
                     f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"
                 )

@@ -24,6 +24,7 @@ HOSTILE_N = " x ".join(f"K(2;{e})" for e in (0, *HOSTILE_PRIMES))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -267,6 +268,58 @@ class TestVerify:
         out_path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "verify", str(out_path))
         assert code in (1, 2), err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["target"]["elements"].reverse(),
+            lambda c: c["target"]["elements"].insert(0, 0),
+            lambda c: c["target"].update(note=1),
+            lambda c: c.update(M=c["M"].replace(" # ", "  #  ")),
+            lambda c: c.update(M=" x ".join(reversed(c["M"].split(" x ")))),
+            lambda c: c["spec"].update(note=1),
+            lambda c: c.update(note=1),
+            lambda c: c.pop("params"),
+            lambda c: c.pop("derivation"),
+        ],
+        ids=[
+            "reversed_target",
+            "repeated_target_element",
+            "extra_target_key",
+            "respaced_m",
+            "reordered_m_factors",
+            "extra_spec_key",
+            "extra_top_level_key",
+            "missing_params",
+            "missing_derivation",
+        ],
+    )
+    def test_certificate_not_in_the_written_form_is_usage_error(self, capsys, tmp_path, edit):
+        payload = json.loads((GOLDEN / "geometric_2_3.json").read_text())
+        edit(payload)
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(out_path))
+        assert code == 2, out
+        assert "not in the form the realiser writes" in err or "cannot decode" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda steps: steps[0].update(note=1),
+            lambda steps: next(s for s in steps if s["details"] == {}).pop("details"),
+        ],
+        ids=["extra_step_key", "missing_empty_details"],
+    )
+    def test_derivation_step_with_other_keys_is_one_mismatch(self, capsys, tmp_path, edit):
+        payload = json.loads((GOLDEN / "geometric_2_3.json").read_text())
+        edit(payload["derivation"])
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", str(out_path), "--json")
+        assert code == 1
+        [mismatch] = json.loads(out)["mismatches"]
+        assert mismatch.startswith("derivation step ")
 
     @pytest.mark.parametrize("cap", ["abc", "1e3"])
     def test_malformed_enum_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, cap):

@@ -1,7 +1,12 @@
 """Committed output digests: the calculator's answers on a seeded corpus must
 keep their exact bytes.  An intended change of behaviour updates
-``data/digests.json`` and says so in CHANGES.md."""
+``data/digests.json`` and says so in CHANGES.md; running this file as a
+script prints the current digests in that file's form:
 
+    PYTHONPATH=src python tests/test_digests.py > tests/data/digests.json
+"""
+
+import functools
 import hashlib
 import json
 import random
@@ -11,14 +16,21 @@ from degreecalc.dsl import print_expr
 from degreecalc.engine import bound_to_jsonable, degree_bounds
 from degreecalc.manifold import normalize, product
 from degreecalc.realiser import (
+    ArithIntervals,
     Geometric,
+    SubsetSums,
+    SumsetFamily,
     certificate_from_json,
     certificate_to_json,
+    realise_arith_intervals,
     realise_geometric,
+    realise_subset_sums,
+    realise_sumset,
 )
 from degreecalc.verify import check_certificate
 
 from conftest import random_expr, random_factor_pairs
+from test_acceptance import _interval_sweep
 
 DIGESTS = Path(__file__).parent / "data" / "digests.json"
 
@@ -62,6 +74,49 @@ def certificates_digest() -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def sumset_certificates() -> tuple[str, ...]:
+    """Certificate JSON of every 50th sequence of the criterion-4 interval
+    sweep, 100 seeded sumset families (some with all multiplicities zero) and
+    100 seeded subset-sum lists (with zeros, some all zero)."""
+    certs = [realise_arith_intervals(ArithIntervals(b)) for b in list(_interval_sweep())[::50]]
+    rng = random.Random(14)
+    for _ in range(100):
+        terms = rng.randint(1, 3)
+        zero = rng.random() < 0.1
+        spec = SumsetFamily(
+            d=tuple(rng.randint(1, 9) for _ in range(terms)),
+            n=tuple(0 if zero else rng.randint(0, 4) for _ in range(terms)),
+            nprime=tuple(0 if zero else rng.randint(0, 4) for _ in range(terms)),
+        )
+        certs.append(realise_sumset(spec))
+    for _ in range(100):
+        high = 0 if rng.random() < 0.1 else 9
+        values = tuple(rng.randint(-high, high) for _ in range(rng.randint(0, 6)))
+        certs.append(realise_subset_sums(SubsetSums(values)))
+    return tuple(map(certificate_to_json, certs))
+
+
+def sumset_certificates_digest() -> str:
+    """SHA-256 over the :func:`sumset_certificates` texts and the check
+    report of each decoded certificate."""
+    digest = hashlib.sha256()
+    for text in sumset_certificates():
+        report = check_certificate(certificate_from_json(text))
+        digest.update(text.encode())
+        digest.update(json.dumps(report.to_jsonable()).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+DIGEST_FUNCTIONS = {
+    "product_pairs": product_pairs_digest,
+    "exprs": exprs_digest,
+    "certificates": certificates_digest,
+    "sumset_certificates": sumset_certificates_digest,
+}
+
+
 def recorded(name: str) -> str:
     return json.loads(DIGESTS.read_text())[name]
 
@@ -76,3 +131,16 @@ def test_exprs_digest():
 
 def test_certificates_digest():
     assert certificates_digest() == recorded("certificates")
+
+
+def test_sumset_certificates_digest():
+    assert sumset_certificates_digest() == recorded("sumset_certificates")
+
+
+def test_sumset_certificates_decode_to_their_own_text():
+    for text in sumset_certificates():
+        assert certificate_to_json(certificate_from_json(text)) == text
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: fn() for name, fn in DIGEST_FUNCTIONS.items()}, indent=2))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import engine
+from degreecalc import engine, verify
 from degreecalc.engine import RuleApplication
 from degreecalc.intset import DegreeSet
 from degreecalc.manifold import CircleBundle, conn_sum, dimension, product
@@ -94,9 +94,10 @@ class TestBruteSumset:
                 expected.update(range(d2 * i - n1p, d2 * i + n1 + 1))
             assert got == fin(expected)
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
+        monkeypatch.setenv("DEGREECALC_ENUM_CAP", str(10**6))
         with pytest.raises(EnumerationTooLarge):
-            brute_sumset((1,) * 10, (9,) * 10, (9,) * 10, enum_cap=10**6)
+            brute_sumset((1,) * 10, (9,) * 10, (9,) * 10)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DEGREECALC_ENUM_CAP", "3")
@@ -108,6 +109,33 @@ class TestBruteSumset:
             brute_sumset((0,), (1,), (1,))
         with pytest.raises(ValueError):
             brute_sumset((1, 2), (1,), (1, 1))
+
+
+class Enumerated(Exception):
+    """Raised by a stub in place of the subset oracles' enumeration."""
+
+
+class TestSubsetCap:
+    """The subset oracles refuse exactly when 2^len(d) exceeds the cap."""
+
+    @pytest.mark.parametrize("brute", [brute_subset_sums, brute_subset_products])
+    def test_cap_above_two_to_the_25_is_honoured(self, monkeypatch, brute):
+        def stop(values):
+            raise Enumerated
+
+        # reaching the 2^26-subset enumeration shows that the cap let it through
+        monkeypatch.setattr(verify, "enumerate", stop, raising=False)
+        monkeypatch.setenv("DEGREECALC_ENUM_CAP", str(10**9))
+        with pytest.raises(Enumerated):
+            brute((2,) * 26)
+
+    @pytest.mark.parametrize("brute", [brute_subset_sums, brute_subset_products])
+    def test_cap_refuses_exactly_above_the_subset_count(self, monkeypatch, brute):
+        monkeypatch.setenv("DEGREECALC_ENUM_CAP", str(2**26 - 1))
+        with pytest.raises(EnumerationTooLarge, match=r"2\^26 subsets exceed the cap of 67108863"):
+            brute((2,) * 26)
+        monkeypatch.setenv("DEGREECALC_ENUM_CAP", "8")
+        assert 0 in brute((2, 3, 4))  # 2^3 subsets: at the cap, not above it
 
 
 class TestBruteSubsetProducts:
@@ -287,6 +315,16 @@ class TestCheckCertificate:
         engine.clear_cache()
         report = check_certificate(cert)
         assert report.ok, report.mismatches
+
+    def test_decoded_check_serialises_only_the_fresh_trace(self, monkeypatch):
+        cert = certificate_from_json((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
+        calls = []
+        serialise = engine.trace_to_jsonable
+        monkeypatch.setattr(
+            engine, "trace_to_jsonable", lambda trace: calls.append(trace) or serialise(trace)
+        )
+        assert check_certificate(cert).ok
+        assert len(calls) == 1
 
     def test_non_text_derivation_input_is_malformed(self):
         payload = json.loads(certificate_to_json(realise_geometric(Geometric((2,)))))
