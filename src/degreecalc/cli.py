@@ -170,9 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"cannot read certificate: {exc}") from exc
     report = verify.check_certificate(cert)
     if args.json:
-        import json
-
-        print(json.dumps(report.to_jsonable(), indent=2))
+        print(realiser.json_text(report.to_jsonable()))
     else:
         print(report.to_text())
     return 0 if report.ok else VERIFY_FAILURE

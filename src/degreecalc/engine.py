@@ -579,27 +579,36 @@ def _jsonable_value(v: object, printed: dict[ManifoldExpr, str]) -> object:
     if isinstance(v, DegreeSet):
         return intset.to_jsonable(v)
     if isinstance(v, (Circle, Surface, CircleBundle, ConnSum, Product)):
-        text = printed.get(v)
-        if text is None:
-            text = printed[v] = print_expr(v)
-        return text
+        return printed.get(v) or _print_once(v, printed)
     if isinstance(v, (tuple, list)):
         return [_jsonable_value(x, printed) for x in v]
     return v
 
 
+def _print_once(m: ManifoldExpr, printed: dict[ManifoldExpr, str]) -> str:
+    text = printed[m] = print_expr(m)
+    return text
+
+
+def step_layout(e: RuleApplication) -> dict:
+    """A trace step's JSON object, shallow: the keys in their written order,
+    with the inputs still expressions, ``produced`` a DegreeSet and the
+    details their values as recorded."""
+    return {"rule": e.rule, "inputs": e.inputs, "produced": e.produced, "details": dict(e.details)}
+
+
 def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
     # most expressions recur from step to step: print each one once
     printed: dict[ManifoldExpr, str] = {}
-    return [
-        {
-            "rule": e.rule,
-            "inputs": [_jsonable_value(x, printed) for x in e.inputs],
-            "produced": _jsonable_value(e.produced, printed),
-            "details": {k: _jsonable_value(v, printed) for k, v in e.details},
-        }
-        for e in trace
-    ]
+    steps = []
+    for e in trace:
+        step = step_layout(e)
+        step["inputs"] = [printed.get(x) or _print_once(x, printed) for x in e.inputs]
+        step["produced"] = intset.to_jsonable(e.produced)
+        if e.details:
+            step["details"] = {k: _jsonable_value(v, printed) for k, v in e.details}
+        steps.append(step)
+    return steps
 
 
 def bound_to_jsonable(bound: SetBound) -> dict:

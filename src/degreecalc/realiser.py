@@ -21,6 +21,9 @@ constructed target, so a certificate cannot be produced unless construction
 and calculus agree.  Only the JSON value that :func:`certificate_to_jsonable`
 writes decodes, and a decoded certificate keeps its derivation as that JSON
 list of steps, for the checker to compare with a fresh trace.
+:func:`certificate_to_json` writes the ``json.dumps(indent=2)`` text of that
+value straight from the certificate, by :func:`json_text`, without building
+the value itself.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Mapping, get_args
 
 from . import engine, intset
 from .dsl import parse_expr, print_expr
@@ -385,19 +388,108 @@ def derivation_to_jsonable(cert: Certificate) -> list[dict]:
     return steps if isinstance(steps, list) else engine.trace_to_jsonable(steps)
 
 
-def certificate_to_jsonable(cert: Certificate) -> dict:
+def _layout(cert: Certificate) -> dict:
+    """The certificate's JSON object, shallow: the keys in their written
+    order, with the target still a DegreeSet, M and N expressions and the
+    derivation as held."""
     return {
         "spec": spec_to_jsonable(cert.spec),
+        "target": cert.target,
+        "M": cert.m,
+        "N": cert.n,
+        "params": dict(cert.params),
+        "derivation": cert.derivation,
+    }
+
+
+def certificate_to_jsonable(cert: Certificate) -> dict:
+    return _layout(cert) | {
         "target": intset.to_jsonable(cert.target),
         "M": print_expr(cert.m),
         "N": print_expr(cert.n),
-        "params": dict(cert.params),
         "derivation": derivation_to_jsonable(cert),
     }
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_jsonable(cert), indent=2)
+    """``json.dumps(certificate_to_jsonable(cert), indent=2)``, written
+    straight from the certificate."""
+    return json_text(_layout(cert))
+
+
+def json_text(v: object) -> str:
+    """``json.dumps(v, indent=2)``, built from C-level pieces; ``v`` may also
+    hold trace steps (written as :func:`engine.step_layout`), DegreeSets (as
+    :func:`intset.to_jsonable`) and expressions (as their :func:`print_expr`
+    text).  Object keys must be strings, and a value of any other type
+    raises TypeError, as it does in ``json.dumps``.
+    """
+    return _json_text(v, "", {})
+
+
+# On Python 3.11, ``json.dumps`` takes its pure-Python encoder whenever it
+# indents; the pieces below are C functions or single calls.
+_escape = json.encoder.encode_basestring_ascii
+_INT_ONLY = {int}
+_EXPR_TYPES = get_args(ManifoldExpr)
+
+
+def _json_text(v: object, indent: str, texts: dict[int, str]) -> str:
+    """:func:`json_text` of ``v`` nested at ``indent``.  ``texts`` holds the
+    JSON text of each expression written so far, keyed by identity: every
+    expression written is held by the outermost value for the whole write,
+    so an identity is never reused."""
+    t = type(v)
+    if t is RuleApplication:
+        v, t = engine.step_layout(v), dict
+    elif t is DegreeSet:
+        v, t = intset.to_jsonable(v), dict
+    if t is str:
+        return _escape(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, v)) == _INT_ONLY:
+            items = map(int.__repr__, v)
+        else:
+            items = [_json_text(x, inner, texts) for x in v]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        items = [_escape(k) + ": " + _json_text(x, inner, texts) for k, x in v.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if t in _EXPR_TYPES:
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = _escape(print_expr(v))
+        return text
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    # floats, and subclasses of the types above, as json.dumps takes them
+    if isinstance(v, str):
+        return _escape(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v in (math.inf, -math.inf):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    if isinstance(v, (list, tuple)):
+        return _json_text(list(v), indent, texts)
+    if isinstance(v, dict):
+        return _json_text(dict(v), indent, texts)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:
@@ -432,6 +524,6 @@ def certificate_from_jsonable(obj: object) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     return certificate_from_jsonable(obj)

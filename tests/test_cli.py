@@ -12,6 +12,8 @@ import pytest
 
 from degreecalc import engine
 from degreecalc.cli import main
+from degreecalc.realiser import certificate_from_json
+from degreecalc.verify import check_certificate
 
 
 # The first nine primes, and K(2;1) against K(2;0).  K(2;0) is not free of
@@ -212,6 +214,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(out_path), "--json")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("name", ["geometric_2_3", "subset_sums"])
+    def test_json_report_is_json_dumps_of_the_report(self, capsys, name):
+        path = GOLDEN / f"{name}.json"
+        report = check_certificate(certificate_from_json(path.read_text(encoding="utf-8")))
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+        assert code == 0
+        assert out == json.dumps(report.to_jsonable(), indent=2) + "\n"
+
+    def test_integer_too_long_to_convert_is_usage_error(self, capsys, tmp_path):
+        payload = json.loads((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
+        payload["params"]["q"] = ["LONG"]
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(json.dumps(payload, indent=2).replace('"LONG"', "7" * 5000))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "internal error" not in err
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.json"))

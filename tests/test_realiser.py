@@ -1,7 +1,10 @@
 """Realisations: constructions, parameters, certificates, invariants."""
 
+import json
+import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,8 @@ from degreecalc.realiser import (
     _is_prime,
     certificate_from_json,
     certificate_to_json,
+    certificate_to_jsonable,
+    json_text,
     next_prime,
     realise_arith_intervals,
     realise_geometric,
@@ -274,3 +279,97 @@ def test_certificate_json_matches_golden_bytes(name):
 def test_certificate_json_round_trip_keeps_bytes(name):
     text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert certificate_to_json(certificate_from_json(text)) + "\n" == text
+
+
+# ---------------------------------------------------------------------------
+# the certificate writer against json.dumps(indent=2)
+
+_TEXTS = [
+    "",
+    "plain",
+    'quote " and \\ backslash',
+    "tab\tnew\nline\x00\x1f\x7f",
+    "é ü 中文 🙂",
+    "\ud800 lone",
+    "\udfff",
+]
+_FLOATS = [0.0, -0.0, 1.5, -2.25e-7, 1e300, 5e-324, math.nan, math.inf, -math.inf]
+_INTS = [0, 1, -1, 7, -4300, 2**63, 2**64 + 1, -(2**70), 10**40]
+
+
+_SUBCLASSES = {base: type(f"_{base.__name__}", (base,), {}) for base in (int, str, float, list, dict)}
+_SUBCLASSES[tuple] = _SUBCLASSES[list]
+
+
+def _random_json(rng: random.Random, depth: int = 0) -> object:
+    """A random value of every kind that json.dumps writes: the scalars above,
+    True/False/None, int-only and mixed lists, tuples and dicts, some empty,
+    and subclasses of these types."""
+    kind = rng.randrange(11 if depth < 4 else 6)
+    if kind == 10:
+        value = _random_json(rng, depth + 1)
+        subclass = _SUBCLASSES.get(type(value))
+        return value if subclass is None else subclass(value)
+    if kind == 0:
+        return rng.choice(_INTS + [rng.randint(-(2**80), 2**80)])
+    if kind == 1:
+        return rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)])
+    if kind == 2:
+        tail = "".join(chr(rng.randrange(0x3000)) for _ in range(rng.randrange(3)))
+        return rng.choice(_TEXTS) + tail
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return [rng.choice(_INTS) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return [rng.choice([0, 1, True, False, 2**65]) for _ in range(rng.randrange(1, 4))]
+    if kind in (6, 7):
+        items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return items if kind == 6 else tuple(items)
+    keys = [rng.choice(_TEXTS) + str(i) for i in range(rng.randrange(4))]
+    return {k: _random_json(rng, depth + 1) for k in keys}
+
+
+def test_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(20261018)
+    for _ in range(6000):
+        value = _random_json(rng)
+        assert json_text(value) == json.dumps(value, indent=2), value
+
+
+def _writer_certificates():
+    certs = [make() for make in GOLDEN_CASES.values()]
+    rng = random.Random(15)
+    for _ in range(12):
+        values = sorted(rng.randint(1, 13) for _ in range(rng.randint(1, 4)))
+        certs.append(realise_geometric(Geometric(tuple(values))))
+    for _ in range(6):
+        certs.append(realise_subset_sums(SubsetSums(tuple(rng.randint(-9, 9) for _ in range(4)))))
+    return certs
+
+
+def test_certificate_json_is_json_dumps_of_its_jsonable_form():
+    for cert in _writer_certificates():
+        text = certificate_to_json(cert)
+        assert text == json.dumps(certificate_to_jsonable(cert), indent=2)
+        decoded = certificate_from_json(text)
+        assert certificate_to_json(decoded) == json.dumps(certificate_to_jsonable(decoded), indent=2)
+
+
+def test_decoded_step_keys_keep_their_order():
+    payload = json.loads((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
+    step = payload["derivation"][0]
+    payload["derivation"][0] = {k: step[k] for k in reversed(step)}
+    text = json.dumps(payload, indent=2)
+    assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def test_writer_rejects_values_json_cannot_write():
+    cert = realise_geometric(Geometric((2,)))
+    bad = replace(cert, params={**cert.params, "q": {5}})
+    with pytest.raises(TypeError):
+        json.dumps(certificate_to_jsonable(bad), indent=2)
+    with pytest.raises(TypeError):
+        certificate_to_json(bad)
+    with pytest.raises(TypeError):
+        json_text([1, object()])
