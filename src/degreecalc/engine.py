@@ -7,7 +7,10 @@ map, identity, coverings, pinch maps, sums and products of those); the upper
 set only ever follows from restriction arguments (closed forms, pinching the
 target, factor projections).  Exactness is not a flag but the coincidence of
 the two, so the calculator cannot silently overclaim on pairs the rules do
-not cover.
+not cover.  For a connected-sum target the lower set comes from packing
+pinches and covering lifts disjointly into the source's summands; that
+search visits at most 20,000 packings in a fixed order, so on large sources
+its lower set can be a part of the realised degrees.
 
 All functions are pure and deterministic.  Expressions are canonical as
 constructed, except a one-summand connected sum, which :func:`degree_bounds`
@@ -276,36 +279,32 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
 # connected sums in the target: pinch upper bounds, covering lower bounds
 
 
-def _counter_fits(c: Counter, capacity: Counter) -> bool:
-    return all(capacity.get(k, 0) >= v for k, v in c.items())
-
-
-def _counter_key(c: Counter) -> tuple:
-    return tuple(sorted(((sort_key(e), cnt) for e, cnt in c.items())))
-
-
-def _achievable_sums(constructions: list[tuple[int, Counter]], capacity: Counter) -> set[int]:
+def _achievable_sums(
+    constructions: list[tuple[int, tuple[int, ...]]], capacity: tuple[int, ...]
+) -> set[int]:
     """All degree totals from packing constructions disjointly into capacity.
 
-    Constructions may repeat as long as their carriers still fit.  The
-    traversal order is fixed, so the node budget cuts a deterministic prefix.
+    Carriers and capacity count copies of each source summand type.  A
+    construction may repeat as long as its carrier still fits.  Packings are
+    visited depth first, each one extending its parent by a construction of
+    equal or later index; the order is fixed, so the node budget cuts a
+    deterministic prefix.
     """
-    sums: set[int] = set()
-    nodes = [_SUMS_BUDGET]
-
-    def rec(idx: int, remaining: Counter, acc: int) -> None:
-        if nodes[0] <= 0:
-            return
-        nodes[0] -= 1
-        sums.add(acc)
-        for t in range(idx, len(constructions)):
+    sums = {0}
+    nodes = 1
+    # frames: next construction index, capacity left, degree so far
+    stack = [(0, capacity, 0)]
+    while stack and nodes < _SUMS_BUDGET:
+        first, left, degree = stack.pop()
+        for t in range(first, len(constructions)):
             d, carrier = constructions[t]
-            if _counter_fits(carrier, remaining):
-                rest = remaining.copy()
-                rest.subtract(carrier)
-                rec(t, rest, acc + d)
-
-    rec(0, capacity, 0)
+            rest = tuple(a - b for a, b in zip(left, carrier))
+            if min(rest) >= 0:
+                stack.append((t + 1, left, degree))
+                stack.append((t, rest, degree + d))
+                sums.add(degree + d)
+                nodes += 1
+                break
     return sums
 
 
@@ -332,17 +331,16 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
             )
         )
 
-    # Lower bound constructions, each consuming a sub-multiset of m's summands.
+    # Lower bound constructions, each consuming a sub-multiset of m's summands:
+    # the pinch, and covering lifts of degree d >= 2 (a degree-1 lift is the pinch).
     s_m = summand_multiset(m)
     s_n = summand_multiset(n)
     total_m = sum(s_m.values())
-    constructions: dict[tuple, tuple[int, Counter, RuleApplication]] = {}
+    constructions: list[tuple[int, Counter, RuleApplication]] = []
 
-    if _counter_fits(s_n, s_m):
-        entry = RuleApplication(
-            "pinch_to_submanifold", (m, n), ONE_ONLY, (("degree", 1),)
-        )
-        constructions[(1, _counter_key(s_n))] = (1, s_n, entry)
+    if not s_n - s_m:
+        entry = RuleApplication("pinch_to_submanifold", (m, n), ONE_ONLY, (("degree", 1),))
+        constructions.append((1, s_n, entry))
 
     for bundle, _ in n.counts:
         if not isinstance(bundle, CircleBundle):
@@ -359,20 +357,15 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
                 and s.base_genus == bundle.base_genus
                 and s.euler != 0
                 and j % s.euler == 0
-                and j // s.euler > 0
+                and j // s.euler > 1
             }
-        elif total_rest > 0:
-            candidates = list(range(1, (total_m - 1) // total_rest + 1))
         else:
-            candidates = []
+            candidates = range(2, (total_m - 1) // total_rest + 1) if total_rest else ()
         for d in candidates:
             cover = CircleBundle(bundle.base_genus, j // d)
             carrier = Counter({k: v * d for k, v in rest.items()})
             carrier[cover] += 1
-            if not _counter_fits(carrier, s_m):
-                continue
-            key = (d, _counter_key(carrier))
-            if key in constructions:
+            if carrier - s_m:
                 continue
             entry = RuleApplication(
                 "fiberwise_covering_lift",
@@ -385,23 +378,24 @@ def _target_conn_sum(m: ManifoldExpr, n: ConnSum) -> SetBound:
                     ("copies_of_remaining_summands", d),
                 ),
             )
-            constructions[key] = (d, carrier, entry)
+            constructions.append((d, carrier, entry))
 
-    ordered = [constructions[k] for k in sorted(constructions)]
+    constructions.sort(key=lambda c: (c[0], sorted((sort_key(e), k) for e, k in c[1].items())))
     trace.append(RuleApplication("constant_map", (m, n), ZERO_ONLY))
-    for _, _, entry in ordered:
-        trace.append(entry)
+    trace.extend(entry for _, _, entry in constructions)
 
-    sums = _achievable_sums([(d, carrier) for d, carrier, _ in ordered], s_m)
-    lower = DegreeSet.finite(sums | {0})
-    single = {0} | {d for d, _, _ in ordered}
+    types = list(s_m)
+    packable = [(d, tuple(carrier[t] for t in types)) for d, carrier, _ in constructions]
+    sums = _achievable_sums(packable, tuple(s_m.values()))
+    lower = DegreeSet.finite(sums)
+    single = {0} | {d for d, _, _ in constructions}
     if not sums <= single:
         trace.append(
             RuleApplication(
                 "disjoint_sum_of_constructions",
                 (m, n),
                 lower,
-                (("component_degrees", tuple(sorted(d for d, _, _ in ordered))),),
+                (("component_degrees", tuple(d for d, _, _ in constructions)),),
             )
         )
     return _make_bound(lower, upper, trace)

@@ -524,6 +524,6 @@ def certificate_from_jsonable(obj: object) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     return certificate_from_jsonable(obj)

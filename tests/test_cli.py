@@ -121,6 +121,17 @@ class TestCompute:
         assert out.splitlines()[:2] == ["lower {0}", "upper unknown"]
         assert elapsed < 1.0
 
+    def test_long_sum_source_onto_target_sum_answers_quickly(self, capsys):
+        # a packing search recursing once per pinch ran out of stack here
+        source = " # ".join(["K(2;1)"] * 1100 + ["K(2;2)"] * 1100)
+        engine.clear_cache()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compute", f"{source} -> K(2;1) # K(2;2)")
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert out.splitlines()[0] == "exact {" + ", ".join(map(str, range(1101))) + "}"
+        assert elapsed < 1.0
+
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
 def test_closed_stdout_ends_by_sigpipe_without_a_message():
@@ -228,6 +239,18 @@ class TestVerify:
         payload["params"]["q"] = ["LONG"]
         out_path = tmp_path / "cert.json"
         out_path.write_text(json.dumps(payload, indent=2).replace('"LONG"', "7" * 5000))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("depth", [990, 5000, 100000])
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, depth):
+        text = (GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8")
+        deep = "[" * depth + "]" * depth
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(text.replace('"params": {', f'"params": {{"deep": {deep},', 1))
         start = time.perf_counter()
         code, _, err = run(capsys, "verify", str(out_path))
         assert time.perf_counter() - start < 1.0

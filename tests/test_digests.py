@@ -14,7 +14,7 @@ from pathlib import Path
 
 from degreecalc.dsl import print_expr
 from degreecalc.engine import bound_to_jsonable, degree_bounds
-from degreecalc.manifold import normalize, product
+from degreecalc.manifold import CircleBundle, ConnSum, conn_sum, normalize, product
 from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
@@ -109,11 +109,47 @@ def sumset_certificates_digest() -> str:
     return digest.hexdigest()
 
 
+# Euler numbers for target-sum pairs: zero, units and divisors of 12, so that
+# covers of several degrees fit.
+TARGET_SUM_EULERS = (0, 1, -1, 2, 3, 4, 6, 12)
+
+
+def target_sum_pairs() -> list:
+    """600 seeded pairs of a source sum and a target sum of 2-3 bundles over
+    the genus-2 surface.  The source repeats the target 0-5 times and adds
+    runs of up to 6 copies of a bundle, mostly one whose Euler number divides
+    a target's, so that pinches and lifts of several degrees fit."""
+    rng = random.Random(16)
+    pairs = []
+    for _ in range(600):
+        target = [CircleBundle(2, rng.choice(TARGET_SUM_EULERS)) for _ in range(rng.randint(2, 3))]
+        source = target * rng.choice((0, 1, 1, 2, 3, 5))
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                j = rng.choice(target).euler
+                e = rng.choice([x for x in TARGET_SUM_EULERS if x and j % x == 0])
+            else:
+                e = rng.choice(TARGET_SUM_EULERS)
+            source += [CircleBundle(3 if rng.random() < 0.1 else 2, e)] * rng.randint(1, 6)
+        pairs.append((conn_sum(*source), ConnSum(tuple(target))))
+    return pairs
+
+
+def target_sums_digest() -> str:
+    """SHA-256 over the JSON bounds of the :func:`target_sum_pairs`."""
+    digest = hashlib.sha256()
+    for m, n in target_sum_pairs():
+        digest.update(json.dumps(bound_to_jsonable(degree_bounds(m, n))).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 DIGEST_FUNCTIONS = {
     "product_pairs": product_pairs_digest,
     "exprs": exprs_digest,
     "certificates": certificates_digest,
     "sumset_certificates": sumset_certificates_digest,
+    "target_sums": target_sums_digest,
 }
 
 
@@ -135,6 +171,10 @@ def test_certificates_digest():
 
 def test_sumset_certificates_digest():
     assert sumset_certificates_digest() == recorded("sumset_certificates")
+
+
+def test_target_sums_digest():
+    assert target_sums_digest() == recorded("target_sums")
 
 
 def test_sumset_certificates_decode_to_their_own_text():

@@ -1,6 +1,7 @@
 """The degree-set calculator: closed forms, sums, pinches, coverings, products."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -170,6 +171,45 @@ class TestSourceSumOracle:
         assert engine._fold_sumsets(parts) == expected
 
 
+def _reference_achievable_sums(constructions, capacity):
+    """The packing search as a recursion over Counters, kept as a reference:
+    the same depth-first order and the same node budget.  Also says whether
+    the budget ran out."""
+    constructions = [(d, Counter(dict(enumerate(c)))) for d, c in constructions]
+    sums = set()
+    nodes = [engine._SUMS_BUDGET]
+
+    def rec(idx, remaining, acc):
+        if nodes[0] <= 0:
+            return
+        nodes[0] -= 1
+        sums.add(acc)
+        for t in range(idx, len(constructions)):
+            d, carrier = constructions[t]
+            if all(remaining.get(k, 0) >= v for k, v in carrier.items()):
+                rest = remaining.copy()
+                rest.subtract(carrier)
+                rec(t, rest, acc + d)
+
+    rec(0, Counter(dict(enumerate(capacity))), 0)
+    return sums, nodes[0] == 0
+
+
+def _random_packing(rng, large):
+    """Constructions (degree, carrier) and a capacity over 1-4 summand types.
+    A large capacity holds up to 399 copies, which the budget may cut; no
+    more, so that the reference's recursion stays within Python's limit."""
+    types = rng.randint(1, 4)
+    constructions = []
+    for _ in range(rng.randint(2, 4) if large else rng.randint(0, 6)):
+        carrier = [rng.choice((0, 0, 0, 1) if large else (0, 0, 1, 1, 2, 3)) for _ in range(types)]
+        carrier[rng.randrange(types)] += 1
+        constructions.append((rng.randint(1, 12), tuple(carrier)))
+    high = 399 // types if large else 8
+    capacity = tuple(rng.randint(0, high) for _ in range(types))
+    return constructions, capacity
+
+
 class TestTargetConnectedSum:
     def test_flagship_shape(self):
         q = parse_expr("K(2;3) # K(2;3) # K(2;2) # K(2;4)")
@@ -226,6 +266,25 @@ class TestTargetConnectedSum:
         assert bound.lower == fin([0])
         assert bound.upper == fin([0])
         assert bound.exact
+
+    def test_packing_matches_recursive_reference(self):
+        rng = random.Random(47)
+        cuts = 0
+        for i in range(1000):
+            constructions, capacity = _random_packing(rng, large=i % 50 == 0)
+            want, cut = _reference_achievable_sums(constructions, capacity)
+            assert engine._achievable_sums(constructions, capacity) == want
+            cuts += cut
+        assert cuts >= 10
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 50])
+    def test_small_budget_cuts_the_reference_prefix(self, monkeypatch, budget):
+        monkeypatch.setattr(engine, "_SUMS_BUDGET", budget)
+        rng = random.Random(budget)
+        for _ in range(200):
+            constructions, capacity = _random_packing(rng, large=False)
+            want, _ = _reference_achievable_sums(constructions, capacity)
+            assert engine._achievable_sums(constructions, capacity) == want
 
 
 class TestProducts:

@@ -137,6 +137,9 @@ class TestPi2Trivial:
     def test_nontrivial_sum_has_essential_sphere(self):
         assert is_pi2_trivial(ConnSum((K(2, 3), K(2, 9)))) is False
 
+    def test_repeated_summand_has_essential_sphere(self):
+        assert is_pi2_trivial(ConnSum((K(2, 1), K(2, 1)))) is False
+
     def test_singleton_sum(self):
         assert is_pi2_trivial(ConnSum((K(2, 5),))) is True
 

@@ -210,6 +210,11 @@ class TestCheckCertificate:
         assert not report.ok
         assert any("q1" in m or "prime" in m or "construction" in m for m in report.mismatches)
 
+    def test_first_prime_equal_to_max_d_rejected(self):
+        cert = realise_geometric(Geometric((3,)))
+        bad = dataclasses.replace(cert, params={**cert.params, "q": [3]})
+        assert "q1 = 3 does not exceed max d = 3" in check_certificate(bad).mismatches
+
     def test_report_text_and_json(self):
         cert = realise_geometric(Geometric((2,)))
         report = check_certificate(cert)
@@ -551,8 +556,73 @@ class TestRecheck:
                 "step product_exactness_chain on (K(2;2) x K(2;3), K(2;4) x K(2;6)): "
                 "K(2;6) does not have degree set {0} from K(2;2)",
             ),
+            (
+                RuleApplication(
+                    "fiberwise_covering_lift",
+                    (conn_sum(K(2, 1), K(2, 3), K(2, 3)), conn_sum(K(2, 3), K(2, 4))),
+                    fin([2]),
+                    (
+                        ("degree", 2),
+                        ("target_bundle", K(2, 4)),
+                        ("cover_bundle", K(2, 1)),
+                        ("copies_of_remaining_summands", 2),
+                    ),
+                ),
+                "step fiberwise_covering_lift on (K(2;1) # K(2;3) # K(2;3), K(2;3) # K(2;4)): "
+                "2 does not divide Euler number 4 compatibly",
+            ),
+            (
+                RuleApplication(
+                    "fiberwise_covering_lift",
+                    (conn_sum(K(2, 1), K(2, 2)), conn_sum(K(2, 1), K(2, 4))),
+                    fin([2]),
+                    (
+                        ("degree", 2),
+                        ("target_bundle", K(2, 4)),
+                        ("cover_bundle", K(2, 2)),
+                        ("copies_of_remaining_summands", 2),
+                    ),
+                ),
+                "step fiberwise_covering_lift on (K(2;1) # K(2;2), K(2;1) # K(2;4)): "
+                "covering source does not embed in the source summands",
+            ),
+            (
+                RuleApplication(
+                    "product_exactness_chain",
+                    (product(K(2, 2), K(2, 3)), product(K(2, 4), K(2, 0))),
+                    fin([0, 2]),
+                    (
+                        ("order", ((K(2, 2), K(2, 4)), (K(2, 3), K(2, 0)))),
+                        ("kills", ((K(2, 2), K(2, 0)),)),
+                    ),
+                ),
+                "step product_exactness_chain on (K(2;2) x K(2;3), K(2;0) x K(2;4)): "
+                "factor target K(2;0) may be dominated by products",
+            ),
+            (
+                RuleApplication(
+                    "product_exactness_chain",
+                    (product(K(2, 0), K(2, 2)), product(K(2, 6), K(2, 3))),
+                    fin([0]),
+                    (
+                        ("order", ((K(2, 0), K(2, 6)), (K(2, 2), K(2, 3)))),
+                        ("kills", ((K(2, 0), K(2, 3)),)),
+                    ),
+                ),
+                "step product_exactness_chain on (K(2;0) x K(2;2), K(2;3) x K(2;6)): "
+                "K(2;3) does not have degree set {0} from K(2;0)",
+            ),
         ],
-        ids=["bundle_closed_form", "pinch", "covering_degree", "chain_non_kill"],
+        ids=[
+            "bundle_closed_form",
+            "pinch",
+            "covering_degree",
+            "chain_non_kill",
+            "covering_wrong_cover",
+            "covering_carrier_outside_source",
+            "chain_dominated_target",
+            "chain_kill_from_euler_zero",
+        ],
     )
     def test_broken_step_is_reported(self, entry, message):
         problems = []
