@@ -203,7 +203,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no message; name the exception instead
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -15,6 +15,15 @@ large compared with their size stay element tuples and add pairwise, so a
 mask never grows far beyond the pairwise work it replaces.
 :func:`naive_sumset` keeps the plain pairwise sum as the reference that tests
 compare the kernel against.
+
+Elements are validated where they enter: the ``DegreeSet(...)`` constructor
+checks every element's type and the strict order, :meth:`DegreeSet.finite`
+and :func:`from_jsonable` check the types, and all three check the int64
+range.  The results of :func:`weighted_sumset` (so :func:`sumset`),
+:func:`intersect`, :func:`negate` and :func:`interval` are built from
+elements the kernel already holds sorted, distinct and in range, and skip
+those checks; the range checks they still need (the sum's endpoints, the
+negated minimum, the interval's bounds) run before the result is built.
 """
 
 from __future__ import annotations
@@ -81,7 +90,15 @@ class DegreeSet:
 
     @classmethod
     def finite(cls, values: Iterable[int]) -> DegreeSet:
-        return cls(tuple(sorted(set(values))))
+        elements = tuple(sorted(set(values)))
+        if elements:
+            # sorted and distinct by construction: one type pass and the endpoints
+            if set(map(type, elements)) != {int}:
+                raise TypeError("set elements must be integers")
+            if elements[0] < INT64_MIN or elements[-1] > INT64_MAX:
+                _check_element(elements[0])
+                _check_element(elements[-1])
+        return _trusted(elements)
 
     @classmethod
     def all_integers(cls) -> DegreeSet:
@@ -107,6 +124,14 @@ class DegreeSet:
         if self.is_all:
             return "Z"
         return "{" + ", ".join(str(x) for x in self.elements) + "}"
+
+
+def _trusted(elements: tuple[int, ...]) -> DegreeSet:
+    """A finite DegreeSet without validation: the caller guarantees a strictly
+    increasing tuple of ints within the signed 64-bit range."""
+    s = object.__new__(DegreeSet)
+    object.__setattr__(s, "elements", elements)
+    return s
 
 
 ALL_INTEGERS = DegreeSet.all_integers()
@@ -155,7 +180,7 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
         if h > 1:
             block = tuple(x * h for x in _elements(block))
         acc = block if acc == 1 else _add(acc, block)
-    return DegreeSet(_elements(acc, lo, step))
+    return _trusted(_elements(acc, lo, step))
 
 
 # Kernel values are sets of non-negative integers containing 0, held either
@@ -260,8 +285,7 @@ def intersect(a: DegreeSet, b: DegreeSet) -> DegreeSet:
         return b
     if b.is_all:
         return a
-    other = set(b.elements)
-    return DegreeSet(tuple(x for x in a.elements if x in other))
+    return _trusted(tuple(filter(set(b.elements).__contains__, a.elements)))
 
 
 def union(a: DegreeSet, b: DegreeSet) -> DegreeSet:
@@ -273,7 +297,9 @@ def union(a: DegreeSet, b: DegreeSet) -> DegreeSet:
 def negate(a: DegreeSet) -> DegreeSet:
     if a.is_all:
         return ALL_INTEGERS
-    return DegreeSet(tuple(-x for x in reversed(a.elements)))
+    if a.elements:
+        _check_element(-a.elements[0])  # only -INT64_MIN leaves the range
+    return _trusted(tuple([-x for x in reversed(a.elements)]))
 
 
 def contains(a: DegreeSet, d: int) -> bool:
@@ -293,7 +319,7 @@ def interval(lo: int, hi: int) -> DegreeSet:
         raise InvalidInterval(f"interval bounds out of order: [{lo}, {hi}]")
     _check_element(lo)
     _check_element(hi)
-    return DegreeSet(tuple(range(lo, hi + 1)))
+    return _trusted(tuple(range(lo, hi + 1)))
 
 
 def to_jsonable(a: DegreeSet) -> dict:

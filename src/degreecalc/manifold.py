@@ -90,6 +90,15 @@ class ConnSum:
         ordered = sorted(counts.items(), key=lambda item: sort_key(item[0]))
         object.__setattr__(self, "counts", tuple(ordered))
 
+    @classmethod
+    def _trusted(cls, counts: tuple[tuple["ManifoldExpr", int], ...]) -> ConnSum:
+        """A sum without validation: the caller guarantees canonical ``counts``,
+        distinct non-sum summands in :func:`sort_key` order with positive
+        counts, all of one dimension >= 2."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "counts", counts)
+        return s
+
     @property
     def summands(self) -> tuple["ManifoldExpr", ...]:
         """The summands with repeats, in :func:`sort_key` order."""

@@ -197,10 +197,9 @@ def _sumset_construction(
     for di_p, ni, npi in zip(d_i_prime, family.n, family.nprime):
         counts[di_p] = counts.get(di_p, 0) + ni
         counts[-di_p] = counts.get(-di_p, 0) + npi
-    summands = {CircleBundle(genus, e): k for e, k in counts.items() if k}
     params: dict[str, object] = {"d_prime": d_prime, "d_i_prime": d_i_prime, "base_genus": genus}
-    if summands:
-        m_expr = normalize(ConnSum(summands))
+    if any(counts.values()):
+        m_expr = normalize(_bundle_sum(genus, counts))
     else:
         # All multiplicities zero: the only representable value is 0, which a
         # bundle pair with non-dividing Euler numbers realises exactly.
@@ -215,6 +214,15 @@ def _sumset_construction(
     elif isinstance(spec, SubsetSums):
         params["dropped_zeros"] = spec.d.count(0)
     return m_expr, CircleBundle(genus, d_prime), params
+
+
+def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
+    """The connected sum of ``counts[e]`` copies of K(genus; e) for each Euler
+    number e with a positive count.  The summands are bundles over one base,
+    so Euler-number order is their :func:`sort_key` order and the sum is built
+    canonical, without the checks of the ``ConnSum`` constructor."""
+    summands = tuple((CircleBundle(genus, e), k) for e, k in sorted(counts.items()) if k)
+    return ConnSum._trusted(summands)
 
 
 def realise_sumset(spec: SumsetFamily) -> Certificate:
@@ -276,10 +284,11 @@ def _is_prime(n: int) -> bool:
 
 def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
     """The block pair (Q, P) for value d and prime q: Q = d K(g;q) # K(g;d) #
-    K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1."""
-    source = Counter({CircleBundle(genus, q): d})
-    source.update((CircleBundle(genus, d), CircleBundle(genus, d * d)))
-    return ConnSum(source), ConnSum((CircleBundle(genus, q), CircleBundle(genus, d * d)))
+    K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1
+    and a certificate under check may record any integer q."""
+    source = Counter({q: d})
+    source.update((d, d * d))
+    return _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
 
 
 def _block_values(spec: Geometric) -> list[int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import engine
+from degreecalc import engine, realiser
 from degreecalc.cli import main
 from degreecalc.realiser import certificate_from_json
 from degreecalc.verify import check_certificate
@@ -199,6 +199,15 @@ class TestRealize:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "realize", "geom", "--values", "2", "--fast")
         assert code == 2
+
+    def test_internal_error_without_message_names_the_exception(self, capsys, monkeypatch):
+        def out_of_memory(spec):
+            raise MemoryError()
+
+        monkeypatch.setattr(realiser, "realise_geometric", out_of_memory)
+        code, _, err = run(capsys, "realize", "geom", "--values", "2")
+        assert code == 3
+        assert err == "internal error: MemoryError\n"
 
 
 class TestVerify:

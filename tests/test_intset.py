@@ -1,5 +1,7 @@
 """Integer-set algebra: examples, algebraic laws, error behavior."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from degreecalc import intset
 from degreecalc.intset import (
     ALL_INTEGERS,
     EMPTY,
+    INT64_MAX,
+    INT64_MIN,
     ZERO_ONLY,
     DegreeSet,
     IntegerOverflow,
@@ -255,3 +259,107 @@ class TestRepresentation:
             intset.from_jsonable({"kind": "lattice"})
         with pytest.raises(ValueError):
             intset.from_jsonable({"kind": "finite", "elements": [1, True]})
+
+
+def seeded_sets(seed):
+    """Empty, one-element, negative, all-of-Z and random sets at several scales."""
+    rng = random.Random(seed)
+    sets = [EMPTY, ALL_INTEGERS, ZERO_ONLY, fin([-7]), fin([-9, -4, -1]), interval(-6, 6)]
+    for _ in range(40):
+        scale = rng.choice([1, 1, 2, 3, 6, 10**6])
+        size = rng.choice([1, 2, 3, 5, 8, 20])
+        lo = rng.randint(-40, 40)
+        sets.append(fin(lo + scale * rng.randint(-30, 30) for _ in range(size)))
+    return sets
+
+
+def assert_valid(r):
+    """The result is a plain DegreeSet that the validating constructor accepts."""
+    assert type(r) is DegreeSet
+    assert r == DegreeSet(r.elements)
+
+
+class TestTrustedResults:
+    """Kernel results skip the constructor's checks; they must pass them."""
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_pairwise_results_are_valid(self, seed):
+        sets = seeded_sets(seed)
+        rng = random.Random(seed)
+        for a in sets:
+            assert_valid(negate(a))
+            for b in rng.sample(sets, 8):
+                s = sumset(a, b)
+                assert_valid(s)
+                assert s == naive_sumset(a, b)
+                assert_valid(intersect(a, b))
+                assert_valid(union(a, b))
+                try:
+                    assert_valid(product_set(a, b))
+                except UnrepresentableSet:
+                    assert a.is_all or b.is_all
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_weighted_sumsets_are_valid(self, seed):
+        sets = [a for a in seeded_sets(seed) if a.is_all or len(a.elements) <= 8]
+        rng = random.Random(seed)
+        for a in sets:
+            n = rng.randint(1, 5)
+            w = weighted_sumset([(a, n)])
+            assert_valid(w)
+            assert w == reference_fold([(a, n)])
+        for _ in range(60):
+            # progressions of different steps, so that parts are gcd-reduced
+            parts = [
+                (fin(rng.choice([1, 2, 3, 6]) * x for x in rng.sample(range(-6, 7), rng.randint(1, 4))),
+                 rng.randint(0, 4))
+                for _ in range(rng.randint(1, 3))
+            ]
+            w = weighted_sumset(parts)
+            assert_valid(w)
+            assert w == reference_fold(parts)
+
+    def test_intervals_are_valid(self):
+        rng = random.Random(31)
+        for _ in range(50):
+            lo = rng.randint(-100, 100)
+            assert_valid(interval(lo, lo + rng.randint(0, 50)))
+        assert_valid(interval(INT64_MAX, INT64_MAX))
+        assert_valid(interval(INT64_MIN, INT64_MIN + 2))
+
+
+class TestBoundaries:
+    """Checks that stay where values enter, or that no trusted path can skip."""
+
+    def test_int64_overflow_is_raised(self):
+        with pytest.raises(IntegerOverflow):
+            negate(fin([INT64_MIN, 0]))
+        with pytest.raises(IntegerOverflow):
+            product_set(fin([INT64_MAX]), fin([2]))
+        with pytest.raises(IntegerOverflow):
+            weighted_sumset([(fin([0, INT64_MAX]), 2)])
+        with pytest.raises(IntegerOverflow):
+            fin([INT64_MAX + 1])
+
+    def test_negate_keeps_int64_max(self):
+        assert negate(fin([-INT64_MAX, 0])) == fin([0, INT64_MAX])
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "3"])
+    def test_finite_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError):
+            fin([bad])
+        with pytest.raises(TypeError):
+            fin([-1, bad])
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 1.0, "3"])
+    def test_from_jsonable_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            intset.from_jsonable({"kind": "finite", "elements": [0, bad]})
+
+    def test_constructor_validates_fully(self):
+        with pytest.raises(TypeError):
+            DegreeSet((0, 1.0))
+        with pytest.raises(IntegerOverflow):
+            DegreeSet((0, INT64_MAX + 1))
+        with pytest.raises(ValueError):
+            DegreeSet((3, 2))

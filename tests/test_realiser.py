@@ -1,7 +1,10 @@
 """Realisations: constructions, parameters, certificates, invariants."""
 
+import copy
+import itertools
 import json
 import math
+import pickle
 import random
 import time
 from dataclasses import replace
@@ -10,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from degreecalc import engine
-from degreecalc.dsl import print_expr
+from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import degree_set_exact
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import normalize
+from degreecalc.manifold import CircleBundle, ConnSum, normalize
 from degreecalc.realiser import (
     BASE_GENUS,
     ArithIntervals,
@@ -24,6 +27,7 @@ from degreecalc.realiser import (
     ZeroNotContained,
     _geometric_blocks,
     _is_prime,
+    _sumset_construction,
     certificate_from_json,
     certificate_to_json,
     certificate_to_jsonable,
@@ -216,6 +220,46 @@ class TestGeometricRealisation:
                 q = next_prime(q)
                 bound = engine._bounds(*_geometric_blocks(d, q, BASE_GENUS))
                 assert bound.exact and bound.lower == DegreeSet.finite((0, 1, d)), (d, q)
+
+
+def _constructed_sums():
+    """M of every sumset construction in a sample of the criterion 4 sweep and
+    of seeded sumset and subset-sum specs, and both sides of geometric blocks,
+    also for the non-prime q a certificate under check may record."""
+    from test_acceptance import _interval_sweep
+
+    for bounds in itertools.islice(_interval_sweep(), 0, None, 13):
+        yield _sumset_construction(ArithIntervals(bounds), BASE_GENUS)[0]
+    rng = random.Random(57)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        family = SumsetFamily(
+            d=tuple(rng.randint(1, 12) for _ in range(k)),
+            n=tuple(rng.randint(0, 4) for _ in range(k)),
+            nprime=tuple(rng.randint(0, 4) for _ in range(k)),
+        )
+        genus = rng.randint(2, 5)
+        yield _sumset_construction(family, genus)[0]
+        subset = SubsetSums(tuple(rng.randint(-15, 15) for _ in range(rng.randint(0, 6))))
+        yield _sumset_construction(subset, genus)[0]
+    for d in range(1, 30):
+        for q in (next_prime(max(d, 2)), d, d * d, 0, -d):
+            yield from _geometric_blocks(d, q, BASE_GENUS)
+
+
+def test_constructed_sums_equal_their_validated_rebuilds():
+    seen = 0
+    for m in _constructed_sums():
+        assert normalize(m) == m
+        if isinstance(m, ConnSum):
+            rebuilt = ConnSum(dict(m.counts))
+            assert rebuilt == m and hash(rebuilt) == hash(m)
+            seen += 1
+        else:
+            assert isinstance(m, CircleBundle)
+        for other in (parse_expr(print_expr(m)), pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert other == m and hash(other) == hash(m), print_expr(m)
+    assert seen > 3000
 
 
 class TestNextPrime:
