@@ -153,8 +153,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
     text = certificate_to_json(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write certificate: {exc}") from exc
         print(f"target {cert.target}")
         print(f"certificate written to {args.out}")
     else:
@@ -166,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             cert = certificate_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read certificate: {exc}") from exc
     report = verify.check_certificate(cert)
     if args.json:

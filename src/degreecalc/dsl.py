@@ -13,6 +13,8 @@ Grammar::
 Whitespace is insignificant.  Parsed expressions are canonical as built, and
 :func:`print_expr` emits the canonical text, so
 ``parse_expr(print_expr(e)) == normalize(e)`` for every well-formed ``e``.
+Expressions are immutable, so the text is computed once per expression object
+and kept on it; every later :func:`print_expr` of that object returns it.
 """
 
 from __future__ import annotations
@@ -178,8 +180,13 @@ def parse_expr(text: str) -> ManifoldExpr:
 
 
 def print_expr(m: ManifoldExpr) -> str:
-    """Canonical text for an expression (a one-summand sum prints as its summand)."""
-    return _print(normalize(m))
+    """Canonical text for an expression (a one-summand sum prints as its
+    summand), computed on the first call for an object and kept on it."""
+    text = getattr(m, "_text", None)
+    if text is None:
+        text = _print(normalize(m))
+        object.__setattr__(m, "_text", text)
+    return text
 
 
 def _print(m: ManifoldExpr) -> str:

@@ -569,19 +569,14 @@ def _product_pair(m: Product, n: Product) -> SetBound:
 # serialization
 
 
-def _jsonable_value(v: object, printed: dict[ManifoldExpr, str]) -> object:
+def _jsonable_value(v: object) -> object:
     if isinstance(v, DegreeSet):
         return intset.to_jsonable(v)
     if isinstance(v, (Circle, Surface, CircleBundle, ConnSum, Product)):
-        return printed.get(v) or _print_once(v, printed)
+        return print_expr(v)
     if isinstance(v, (tuple, list)):
-        return [_jsonable_value(x, printed) for x in v]
+        return [_jsonable_value(x) for x in v]
     return v
-
-
-def _print_once(m: ManifoldExpr, printed: dict[ManifoldExpr, str]) -> str:
-    text = printed[m] = print_expr(m)
-    return text
 
 
 def step_layout(e: RuleApplication) -> dict:
@@ -592,15 +587,13 @@ def step_layout(e: RuleApplication) -> dict:
 
 
 def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
-    # most expressions recur from step to step: print each one once
-    printed: dict[ManifoldExpr, str] = {}
     steps = []
     for e in trace:
         step = step_layout(e)
-        step["inputs"] = [printed.get(x) or _print_once(x, printed) for x in e.inputs]
+        step["inputs"] = [print_expr(x) for x in e.inputs]
         step["produced"] = intset.to_jsonable(e.produced)
         if e.details:
-            step["details"] = {k: _jsonable_value(v, printed) for k, v in e.details}
+            step["details"] = {k: _jsonable_value(v) for k, v in e.details}
         steps.append(step)
     return steps
 

@@ -148,25 +148,29 @@ def _certified(
 # sumset family, arithmetic interval sequences, subset sums
 
 
-def _sumset_family(spec: SumsetFamily | ArithIntervals | SubsetSums) -> SumsetFamily:
-    """The sumset family whose set is the spec's target.
+def _sumset_family(
+    spec: SumsetFamily | ArithIntervals | SubsetSums,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The terms (d, n, n') of the sumset family whose set is the spec's target.
 
     For intervals, with [b_k, c_k] the k-th of l intervals and the one
     containing 0, the family has d = (1, d_2) with d_2 = b_2 - b_1, and
     n_1 = c_k, n'_1 = -b_k, n_2 = l - k, n'_2 = k - 1.  For subset sums, each
     non-zero value becomes a one-copy term, its sign absorbed into the
-    multiplicities.
+    multiplicities.  The spec was validated when built, and the terms are
+    valid by construction (d_2 > 0, c_k >= 0 >= b_k), so they are not
+    checked again.
     """
     if isinstance(spec, SumsetFamily):
-        return spec
+        return spec.d, spec.n, spec.nprime
     if isinstance(spec, SubsetSums):
         values = [x for x in spec.d if x != 0]
         if not values:
-            return SumsetFamily(d=(1,), n=(0,), nprime=(0,))
-        return SumsetFamily(
-            d=tuple(abs(x) for x in values),
-            n=tuple(1 if x > 0 else 0 for x in values),
-            nprime=tuple(0 if x > 0 else 1 for x in values),
+            return (1,), (0,), (0,)
+        return (
+            tuple(abs(x) for x in values),
+            tuple(1 if x > 0 else 0 for x in values),
+            tuple(0 if x > 0 else 1 for x in values),
         )
     bounds = spec.bounds
     k = next((i + 1 for i, (b, c) in enumerate(bounds) if b <= 0 <= c), None)
@@ -174,9 +178,9 @@ def _sumset_family(spec: SumsetFamily | ArithIntervals | SubsetSums) -> SumsetFa
         raise ZeroNotContained(f"no interval of {bounds} contains 0")
     b_k, c_k = bounds[k - 1]
     if len(bounds) == 1:
-        return SumsetFamily(d=(1, 1), n=(c_k, 0), nprime=(-b_k, 0))
+        return (1, 1), (c_k, 0), (-b_k, 0)
     d2 = bounds[1][0] - bounds[0][0]
-    return SumsetFamily(d=(1, d2), n=(c_k, len(bounds) - k), nprime=(-b_k, k - 1))
+    return (1, d2), (c_k, len(bounds) - k), (-b_k, k - 1)
 
 
 def _sumset_construction(
@@ -190,11 +194,11 @@ def _sumset_construction(
     contributes {0, d_i} or {0, -d_i} and the contributions add over the
     connected sum.
     """
-    family = _sumset_family(spec)
-    d_prime = math.prod(family.d)
-    d_i_prime = [d_prime // x for x in family.d]
+    d, n, nprime = _sumset_family(spec)
+    d_prime = math.prod(d)
+    d_i_prime = [d_prime // x for x in d]
     counts: dict[int, int] = {}  # Euler number -> summand count
-    for di_p, ni, npi in zip(d_i_prime, family.n, family.nprime):
+    for di_p, ni, npi in zip(d_i_prime, n, nprime):
         counts[di_p] = counts.get(di_p, 0) + ni
         counts[-di_p] = counts.get(-di_p, 0) + npi
     params: dict[str, object] = {"d_prime": d_prime, "d_i_prime": d_i_prime, "base_genus": genus}
@@ -207,10 +211,8 @@ def _sumset_construction(
         m_expr = CircleBundle(genus, d_prime + 1)
         params["degenerate_euler"] = d_prime + 1
     if isinstance(spec, ArithIntervals):
-        (n1, n2), (n1p, n2p) = family.n, family.nprime
-        params.update(
-            n1=n1, n1prime=n1p, d2=family.d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1
-        )
+        (n1, n2), (n1p, n2p) = n, nprime
+        params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1)
     elif isinstance(spec, SubsetSums):
         params["dropped_zeros"] = spec.d.count(0)
     return m_expr, CircleBundle(genus, d_prime), params
@@ -433,7 +435,7 @@ def json_text(v: object) -> str:
     text).  Object keys must be strings, and a value of any other type
     raises TypeError, as it does in ``json.dumps``.
     """
-    return _json_text(v, "", {})
+    return _json_text(v, "")
 
 
 # On Python 3.11, ``json.dumps`` takes its pure-Python encoder whenever it
@@ -443,11 +445,8 @@ _INT_ONLY = {int}
 _EXPR_TYPES = get_args(ManifoldExpr)
 
 
-def _json_text(v: object, indent: str, texts: dict[int, str]) -> str:
-    """:func:`json_text` of ``v`` nested at ``indent``.  ``texts`` holds the
-    JSON text of each expression written so far, keyed by identity: every
-    expression written is held by the outermost value for the whole write,
-    so an identity is never reused."""
+def _json_text(v: object, indent: str) -> str:
+    """:func:`json_text` of ``v`` nested at ``indent``."""
     t = type(v)
     if t is RuleApplication:
         v, t = engine.step_layout(v), dict
@@ -464,19 +463,16 @@ def _json_text(v: object, indent: str, texts: dict[int, str]) -> str:
         if set(map(type, v)) == _INT_ONLY:
             items = map(int.__repr__, v)
         else:
-            items = [_json_text(x, inner, texts) for x in v]
+            items = [_json_text(x, inner) for x in v]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if t is dict:
         if not v:
             return "{}"
         inner = indent + "  "
-        items = [_escape(k) + ": " + _json_text(x, inner, texts) for k, x in v.items()]
+        items = [_escape(k) + ": " + _json_text(x, inner) for k, x in v.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     if t in _EXPR_TYPES:
-        text = texts.get(id(v))
-        if text is None:
-            text = texts[id(v)] = _escape(print_expr(v))
-        return text
+        return _escape(print_expr(v))
     if v is None:
         return "null"
     if v is True:
@@ -495,9 +491,9 @@ def _json_text(v: object, indent: str, texts: dict[int, str]) -> str:
             return "Infinity" if v > 0 else "-Infinity"
         return float.__repr__(v)
     if isinstance(v, (list, tuple)):
-        return _json_text(list(v), indent, texts)
+        return _json_text(list(v), indent)
     if isinstance(v, dict):
-        return _json_text(dict(v), indent, texts)
+        return _json_text(dict(v), indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

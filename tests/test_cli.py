@@ -200,6 +200,14 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", "geom", "--values", "2", "--fast")
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        out_path = tmp_path if where == "directory" else tmp_path / "absent" / "cert.json"
+        code, out, err = run(capsys, "realize", "geom", "--values", "2", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write certificate: ")
+
     def test_internal_error_without_message_names_the_exception(self, capsys, monkeypatch):
         def out_of_memory(spec):
             raise MemoryError()
@@ -269,6 +277,14 @@ class TestVerify:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_file_not_in_utf8_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read certificate: ")
 
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,16 +1,21 @@
 """Parser and printer: grammar, precedence, errors, round trips."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
+from degreecalc import dsl
 from degreecalc.dsl import MAX_NESTING, ParseError, SemanticError, parse_expr, print_expr
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
     ConnSum,
+    MalformedExpr,
     Product,
     Surface,
+    dimension,
     normalize,
 )
 
@@ -148,3 +153,65 @@ class TestPrint:
         for _ in range(200):
             e = random_expr(rng)
             assert print_expr(e) == print_expr(normalize(e))
+
+
+class TestStoredText:
+    """print_expr computes an object's text once and keeps it on the object."""
+
+    def test_second_print_of_an_object_does_not_print_again(self, monkeypatch):
+        calls = []
+        real = dsl._print
+        monkeypatch.setattr(dsl, "_print", lambda m: calls.append(m) or real(m))
+        expr = ConnSum((K(2, 1), Product((CIRCLE, Surface(2)))))
+        first = print_expr(expr)
+        printed = len(calls)
+        assert print_expr(expr) == first
+        assert len(calls) == printed
+
+    def test_first_and_second_print_equal_the_uncached_text(self):
+        rng = random.Random(13)
+        for _ in range(2000):
+            e = random_expr(rng)
+            expected = dsl._print(normalize(e))
+            assert print_expr(e) == expected
+            assert print_expr(e) == expected
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_value_hash_repr_and_text(self, duplicate):
+        expr = parse_expr("K(2;1) # K(2;1) # (S1 x S(2)) # K(3;-4)")
+        text, before = print_expr(expr), repr(expr)
+        again = duplicate(expr)
+        assert again == expr and hash(again) == hash(expr)
+        assert repr(again) == repr(expr) == before
+        assert text not in before and "_text" not in before
+        assert print_expr(again) == text
+
+    @pytest.mark.parametrize("summand_first", [False, True])
+    def test_one_summand_sum_prints_as_its_summand(self, summand_first):
+        summand = Product((CIRCLE, Surface(3)))
+        if summand_first:
+            print_expr(summand)
+        single = ConnSum((summand,))
+        assert print_expr(single) == print_expr(summand) == "S1 x S(3)"
+        assert print_expr(single) == "S1 x S(3)"
+
+    def test_non_expression_is_malformed(self):
+        with pytest.raises(MalformedExpr):
+            print_expr("K(2;1)")
+
+    def test_deep_alternating_sum_and_product_prints(self):
+        # the printer recurses once per level, so it must not add frames per level
+        e = K(2, 1)
+        for level in range(400):
+            if level % 2:
+                e = Product((e, CIRCLE))
+            else:
+                d = dimension(e)
+                e = ConnSum((e, Product((CIRCLE,) * d) if d > 3 else K(2, 2)))
+        text = print_expr(e)
+        assert text == dsl._print(e)
+        assert text.count("#") == 200

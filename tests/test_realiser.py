@@ -28,6 +28,7 @@ from degreecalc.realiser import (
     _geometric_blocks,
     _is_prime,
     _sumset_construction,
+    _sumset_family,
     certificate_from_json,
     certificate_to_json,
     certificate_to_jsonable,
@@ -222,14 +223,13 @@ class TestGeometricRealisation:
                 assert bound.exact and bound.lower == DegreeSet.finite((0, 1, d)), (d, q)
 
 
-def _constructed_sums():
-    """M of every sumset construction in a sample of the criterion 4 sweep and
-    of seeded sumset and subset-sum specs, and both sides of geometric blocks,
-    also for the non-prime q a certificate under check may record."""
+def _sumset_specs():
+    """(spec, genus) for a sample of the criterion 4 sweep and for seeded
+    sumset and subset-sum specs."""
     from test_acceptance import _interval_sweep
 
     for bounds in itertools.islice(_interval_sweep(), 0, None, 13):
-        yield _sumset_construction(ArithIntervals(bounds), BASE_GENUS)[0]
+        yield ArithIntervals(bounds), BASE_GENUS
     rng = random.Random(57)
     for _ in range(200):
         k = rng.randint(1, 4)
@@ -239,9 +239,22 @@ def _constructed_sums():
             nprime=tuple(rng.randint(0, 4) for _ in range(k)),
         )
         genus = rng.randint(2, 5)
-        yield _sumset_construction(family, genus)[0]
-        subset = SubsetSums(tuple(rng.randint(-15, 15) for _ in range(rng.randint(0, 6))))
-        yield _sumset_construction(subset, genus)[0]
+        yield family, genus
+        yield SubsetSums(tuple(rng.randint(-15, 15) for _ in range(rng.randint(0, 6)))), genus
+
+
+def test_sumset_family_terms_are_a_valid_family():
+    # _sumset_family returns plain tuples; a validating SumsetFamily must accept them
+    for spec, _ in _sumset_specs():
+        SumsetFamily(*_sumset_family(spec))
+
+
+def _constructed_sums():
+    """M of every sumset construction of :func:`_sumset_specs`, and both sides
+    of geometric blocks, also for the non-prime q a certificate under check
+    may record."""
+    for spec, genus in _sumset_specs():
+        yield _sumset_construction(spec, genus)[0]
     for d in range(1, 30):
         for q in (next_prime(max(d, 2)), d, d * d, 0, -d):
             yield from _geometric_blocks(d, q, BASE_GENUS)
