@@ -569,39 +569,41 @@ def _product_pair(m: Product, n: Product) -> SetBound:
 # serialization
 
 
-def _jsonable_value(v: object) -> object:
-    if isinstance(v, DegreeSet):
+_EXPR_TYPES = (Circle, Surface, CircleBundle, ConnSum, Product)
+
+
+def json_view(v: object) -> object:
+    """How a held value is written, one level down: a trace step is its object
+    (keys in written order, values as held), a DegreeSet :func:`intset.to_jsonable`,
+    an expression its :func:`print_expr` text, and any other value itself.  It is
+    shallow so that ``realiser.json_text`` and ``realiser._same`` can walk the
+    written form without building it; :func:`jsonable` builds it."""
+    t = type(v)
+    if t is RuleApplication:
+        details = dict(v.details)
+        return {"rule": v.rule, "inputs": v.inputs, "produced": v.produced, "details": details}
+    if t is DegreeSet:
         return intset.to_jsonable(v)
-    if isinstance(v, (Circle, Surface, CircleBundle, ConnSum, Product)):
+    if t in _EXPR_TYPES:
         return print_expr(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable_value(x) for x in v]
     return v
 
 
-def step_layout(e: RuleApplication) -> dict:
-    """A trace step's JSON object, shallow: the keys in their written order,
-    with the inputs still expressions, ``produced`` a DegreeSet and the
-    details their values as recorded."""
-    return {"rule": e.rule, "inputs": e.inputs, "produced": e.produced, "details": dict(e.details)}
+def jsonable(v: object) -> object:
+    """The JSON value of ``v``: :func:`json_view` at every level, tuples as lists."""
+    v = json_view(v)
+    if isinstance(v, dict):
+        return {k: jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    return v
 
 
 def trace_to_jsonable(trace: tuple[RuleApplication, ...]) -> list[dict]:
-    steps = []
-    for e in trace:
-        step = step_layout(e)
-        step["inputs"] = [print_expr(x) for x in e.inputs]
-        step["produced"] = intset.to_jsonable(e.produced)
-        if e.details:
-            step["details"] = {k: _jsonable_value(v) for k, v in e.details}
-        steps.append(step)
-    return steps
+    return jsonable(trace)
 
 
 def bound_to_jsonable(bound: SetBound) -> dict:
-    return {
-        "lower": intset.to_jsonable(bound.lower),
-        "upper": None if bound.upper is None else intset.to_jsonable(bound.upper),
-        "exact": bound.exact,
-        "trace": trace_to_jsonable(bound.trace),
-    }
+    return jsonable(
+        {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact, "trace": bound.trace}
+    )

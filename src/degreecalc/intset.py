@@ -90,14 +90,13 @@ class DegreeSet:
 
     @classmethod
     def finite(cls, values: Iterable[int]) -> DegreeSet:
-        elements = tuple(sorted(set(values)))
-        if elements:
-            # sorted and distinct by construction: one type pass and the endpoints
-            if set(map(type, elements)) != {int}:
-                raise TypeError("set elements must be integers")
-            if elements[0] < INT64_MIN or elements[-1] > INT64_MAX:
-                _check_element(elements[0])
-                _check_element(elements[-1])
+        values = tuple(values)  # typed before set() merges 1 with True or 2 with 2.0
+        if values and set(map(type, values)) != {int}:
+            raise TypeError("set elements must be integers")
+        elements = tuple(sorted(set(values)))  # sorted and distinct: range-check the ends
+        if elements and (elements[0] < INT64_MIN or elements[-1] > INT64_MAX):
+            _check_element(elements[0])
+            _check_element(elements[-1])
         return _trusted(elements)
 
     @classmethod
@@ -335,9 +334,10 @@ def from_jsonable(obj: object) -> DegreeSet:
         return ALL_INTEGERS
     if obj["kind"] == "finite":
         elements = obj.get("elements")
-        if not isinstance(elements, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in elements
-        ):
-            raise ValueError(f"bad element list: {elements!r}")
-        return DegreeSet.finite(elements)
+        try:
+            if isinstance(elements, list):
+                return DegreeSet.finite(elements)
+        except TypeError:
+            pass
+        raise ValueError(f"bad element list: {elements!r}")
     raise ValueError(f"unknown set kind: {obj['kind']!r}")

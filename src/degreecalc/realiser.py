@@ -18,12 +18,12 @@ certificate with it by equality.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
-and calculus agree.  Only the JSON value that :func:`certificate_to_jsonable`
-writes decodes, and a decoded certificate keeps its derivation as that JSON
-list of steps, for the checker to compare with a fresh trace.
-:func:`certificate_to_json` writes the ``json.dumps(indent=2)`` text of that
-value straight from the certificate, by :func:`json_text`, without building
-the value itself.
+and calculus agree.  Every held value is written as its
+:func:`engine.json_view`: :func:`certificate_to_json` writes the
+``json.dumps(indent=2)`` text straight from the certificate, by
+:func:`json_text`, and only a JSON value written exactly so decodes.  A
+decoded certificate keeps its derivation as that JSON list of steps, which
+the checker compares with a fresh trace by :func:`_same`, serialising neither.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Mapping, get_args
+from typing import Mapping
 
 from . import engine, intset
-from .dsl import parse_expr, print_expr
+from .dsl import parse_expr
 from .engine import RuleApplication
 from .intset import DegreeSet
 from .manifold import CircleBundle, ConnSum, ManifoldExpr, Product, dimension, normalize
@@ -357,10 +357,6 @@ _SPECS = {
 _VARIANTS = {cls: variant for variant, cls in _SPECS.items()}
 
 
-def _lists(v: object) -> object:
-    return [_lists(x) for x in v] if isinstance(v, tuple) else v
-
-
 def _int_tuples(v: object, depth: int) -> tuple:
     """The JSON list ``v`` as tuples nested ``depth`` deep over integers."""
     if not isinstance(v, list) or (depth == 1 and not all(type(x) is int for x in v)):
@@ -369,9 +365,8 @@ def _int_tuples(v: object, depth: int) -> tuple:
 
 
 def spec_to_jsonable(spec: RealisationSpec) -> dict:
-    return {"variant": _VARIANTS[type(spec)]} | {
-        f.name: _lists(getattr(spec, f.name)) for f in fields(spec)
-    }
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    return {"variant": _VARIANTS[type(spec)]} | values
 
 
 def spec_from_jsonable(obj: object) -> RealisationSpec:
@@ -380,23 +375,26 @@ def spec_from_jsonable(obj: object) -> RealisationSpec:
     return cls(*(_int_tuples(obj[f.name], f.type.count("tuple[")) for f in fields(cls)))
 
 
+_JSON_TYPES = {str, int, float, bool, type(None), list, dict}
+
+
 def _same(a: object, b: object) -> bool:
-    """Equality with equal types at every level, so a recorded 0 is not false and 1.0 not 1."""
+    """Whether a and b are written as the same JSON, in type too at every level
+    (a recorded 0 is not false, 1.0 not 1): held values compare in their
+    :func:`engine.json_view`, and a tuple as the list it is written as."""
     if a is b:
         return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
+    t = type(a)
+    if t is not type(b) or t not in _JSON_TYPES:
+        a, b = engine.json_view(a), engine.json_view(b)
+        t = list if type(a) is tuple else type(a)
+        if t is not (list if type(b) is tuple else type(b)):
+            return False
+    if t is dict:
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
+    if t is list:
         return len(a) == len(b) and all(map(_same, a, b))
     return a == b
-
-
-def derivation_to_jsonable(cert: Certificate) -> list[dict]:
-    """The derivation's JSON: a decoded one as recorded, a trace serialised."""
-    steps = cert.derivation
-    return steps if isinstance(steps, list) else engine.trace_to_jsonable(steps)
 
 
 def _layout(cert: Certificate) -> dict:
@@ -414,12 +412,7 @@ def _layout(cert: Certificate) -> dict:
 
 
 def certificate_to_jsonable(cert: Certificate) -> dict:
-    return _layout(cert) | {
-        "target": intset.to_jsonable(cert.target),
-        "M": print_expr(cert.m),
-        "N": print_expr(cert.n),
-        "derivation": derivation_to_jsonable(cert),
-    }
+    return engine.jsonable(_layout(cert))
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -429,11 +422,10 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def json_text(v: object) -> str:
-    """``json.dumps(v, indent=2)``, built from C-level pieces; ``v`` may also
-    hold trace steps (written as :func:`engine.step_layout`), DegreeSets (as
-    :func:`intset.to_jsonable`) and expressions (as their :func:`print_expr`
-    text).  Object keys must be strings, and a value of any other type
-    raises TypeError, as it does in ``json.dumps``.
+    """``json.dumps(engine.jsonable(v), indent=2)``, built from C-level
+    pieces without building that value: every value is written as its
+    :func:`engine.json_view`.  Object keys must be strings, and a value of
+    any other type raises TypeError, as it does in ``json.dumps``.
     """
     return _json_text(v, "")
 
@@ -442,16 +434,12 @@ def json_text(v: object) -> str:
 # indents; the pieces below are C functions or single calls.
 _escape = json.encoder.encode_basestring_ascii
 _INT_ONLY = {int}
-_EXPR_TYPES = get_args(ManifoldExpr)
 
 
 def _json_text(v: object, indent: str) -> str:
     """:func:`json_text` of ``v`` nested at ``indent``."""
+    v = engine.json_view(v)
     t = type(v)
-    if t is RuleApplication:
-        v, t = engine.step_layout(v), dict
-    elif t is DegreeSet:
-        v, t = intset.to_jsonable(v), dict
     if t is str:
         return _escape(v)
     if t is int:
@@ -471,8 +459,6 @@ def _json_text(v: object, indent: str) -> str:
         inner = indent + "  "
         items = [_escape(k) + ": " + _json_text(x, inner) for k, x in v.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    if t in _EXPR_TYPES:
-        return _escape(print_expr(v))
     if v is None:
         return "null"
     if v is True:
@@ -498,7 +484,7 @@ def _json_text(v: object, indent: str) -> str:
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:
-    """Decode a certificate, provided it re-encodes to exactly ``obj``."""
+    """Decode a certificate, provided it is written exactly as ``obj``."""
     if not isinstance(obj, dict):
         raise MalformedCertificate(f"certificate must be an object, got {type(obj).__name__}")
     try:
@@ -506,13 +492,15 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         target = intset.from_jsonable(obj["target"])
         m = parse_expr(obj["M"])
         n = parse_expr(obj["N"])
-        # a derivation that is not a list re-encodes as one, so it fails below
-        for step in obj["derivation"]:
+        steps = obj["derivation"]
+        if not isinstance(steps, list):
+            raise ValueError(f"derivation must be a list of steps, got {steps!r}")
+        for step in steps:
             inputs = step.get("inputs", []) if isinstance(step, dict) else None
             if not (isinstance(inputs, list) and all(isinstance(x, str) for x in inputs)):
                 raise ValueError(f"not a step object with expression texts as inputs: {step!r}")
-        cert = Certificate(spec, target, m, n, obj["params"], obj["derivation"])
-        again = certificate_to_jsonable(cert)
+        cert = Certificate(spec, target, m, n, obj["params"], steps)
+        layout = _layout(cert)  # dict(params) raises on a params that is not an object
     except Exception as exc:
         raise MalformedCertificate(f"cannot decode certificate: {exc}") from exc
     if target.is_all:
@@ -521,7 +509,7 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         raise MalformedCertificate("certificate target must contain 0")
     if dimension(m) != dimension(n):
         raise MalformedCertificate("certificate manifolds have different dimensions")
-    if not _same(again, obj):
+    if not _same(layout, obj):
         raise MalformedCertificate("certificate is not in the form the realiser writes")
     return cert
 

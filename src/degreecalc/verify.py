@@ -56,7 +56,6 @@ from .realiser import (
     _is_prime,
     _same,
     _sumset_construction,
-    derivation_to_jsonable,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -155,7 +154,7 @@ class Report:
         return {
             "ok": self.ok,
             "engine": None if self.engine_bound is None else engine.bound_to_jsonable(self.engine_bound),
-            "oracle": None if self.oracle is None else intset.to_jsonable(self.oracle),
+            "oracle": engine.jsonable(self.oracle),
             "mismatches": list(self.mismatches),
         }
 
@@ -338,18 +337,13 @@ def check_certificate(cert: Certificate) -> Report:
 
     if not cert.derivation:
         mismatches.append("derivation is empty")
-    elif cert.derivation is not engine_bound.trace:
-        # compare JSON forms, type-strictly: a decoded derivation is its JSON
-        # as recorded, which may hold 2.0 for 2 or an extra key
-        recorded = derivation_to_jsonable(cert)
-        fresh = engine.trace_to_jsonable(engine_bound.trace)
-        for step, (got, want) in enumerate(zip_longest(recorded, fresh)):
-            if not _same(got, want):
-                rule = got.get("rule") if got is not None else "missing"
-                mismatches.append(
-                    f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)"
-                )
-                break
+    elif not _same(cert.derivation, engine_bound.trace):
+        pairs = enumerate(zip_longest(cert.derivation, engine_bound.trace), 1)
+        step, got = next((i, got) for i, (got, want) in pairs if not _same(got, want))
+        rule = "missing" if got is None else engine.json_view(got).get("rule")
+        mismatches.append(
+            f"derivation step {step} is {rule}, not the calculator's trace for (M, N)"
+        )
     for entry in engine_bound.trace:
         _recheck_entry(entry, mismatches)
     _check_params(cert, mismatches)

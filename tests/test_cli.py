@@ -373,6 +373,30 @@ class TestVerify:
         assert "not in the form the realiser writes" in err or "cannot decode" in err
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("params", "ab"),
+            ("params", 5),
+            ("params", None),
+            ("params", [["q", 1]]),
+            ("derivation", 5),
+            ("derivation", "ab"),
+            ("derivation", {}),
+            ("derivation", ""),
+        ],
+    )
+    def test_params_or_derivation_of_another_shape_is_usage_error(
+        self, capsys, tmp_path, key, value
+    ):
+        payload = json.loads((GOLDEN / "geometric_2_3.json").read_text())
+        payload[key] = value
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", str(out_path))
+        assert code == 2, (out, err)
+        assert "not in the form the realiser writes" in err or "cannot decode" in err
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda steps: steps[0].update(note=1),

@@ -344,12 +344,17 @@ class TestBoundaries:
     def test_negate_keeps_int64_max(self):
         assert negate(fin([-INT64_MAX, 0])) == fin([0, INT64_MAX])
 
-    @pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "3"])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, 2.0, "3"])
     def test_finite_rejects_non_integers(self, bad):
         with pytest.raises(TypeError):
             fin([bad])
         with pytest.raises(TypeError):
             fin([-1, bad])
+        # an equal integer must not hide it, whichever comes first
+        for equal in [x for x in range(3) if x == bad]:
+            for values in ([equal, bad], [bad, equal]):
+                with pytest.raises(TypeError):
+                    fin(values)
 
     @pytest.mark.parametrize("bad", [True, 2.5, 1.0, "3"])
     def test_from_jsonable_rejects_non_integers(self, bad):

@@ -27,6 +27,7 @@ from degreecalc.realiser import (
     ZeroNotContained,
     _geometric_blocks,
     _is_prime,
+    _layout,
     _sumset_construction,
     _sumset_family,
     certificate_from_json,
@@ -39,6 +40,7 @@ from degreecalc.realiser import (
     realise_subset_sums,
     realise_sumset,
 )
+from degreecalc.verify import check_certificate
 
 fin = DegreeSet.finite
 
@@ -406,11 +408,22 @@ def _writer_certificates():
 
 
 def test_certificate_json_is_json_dumps_of_its_jsonable_form():
-    for cert in _writer_certificates():
+    certs = _writer_certificates()
+    held = []
+    for cert in certs:
         text = certificate_to_json(cert)
         assert text == json.dumps(certificate_to_jsonable(cert), indent=2)
         decoded = certificate_from_json(text)
         assert certificate_to_json(decoded) == json.dumps(certificate_to_jsonable(decoded), indent=2)
+        held += [_layout(cert), _layout(decoded), cert.derivation]
+    # a target intersection step whose summand uppers hold a set and "unknown"
+    bound = engine.degree_bounds(parse_expr("K(2;1)"), parse_expr("K(2;1) # K(3;1)"))
+    step = next(e for e in bound.trace if e.rule == "target_summand_intersection")
+    uppers = [upper for _, upper in step.detail("summand_uppers")]
+    assert "unknown" in uppers and any(isinstance(u, DegreeSet) for u in uppers)
+    held += [step, check_certificate(certs[0]).to_jsonable()]
+    for value in held:
+        assert json_text(value) == json.dumps(engine.jsonable(value), indent=2)
 
 
 def test_decoded_step_keys_keep_their_order():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import engine, verify
+from degreecalc import engine, realiser, verify
 from degreecalc.engine import RuleApplication
 from degreecalc.intset import DegreeSet
 from degreecalc.manifold import CircleBundle, conn_sum, dimension, product
@@ -49,6 +49,17 @@ PARAMS_CERTS = {
     "sumset": realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1))),
     "geometric": realise_geometric(Geometric((2, 3))),
 }
+
+
+def _with_detail(cert, rule, key, value):
+    """The index of cert's first ``rule`` step, and cert with that step's
+    detail ``key`` set to ``value``."""
+    step = next(i for i, e in enumerate(cert.derivation) if e.rule == rule)
+    entry = cert.derivation[step]
+    details = tuple((k, value if k == key else v) for k, v in entry.details)
+    derivation = list(cert.derivation)
+    derivation[step] = dataclasses.replace(entry, details=details)
+    return step, dataclasses.replace(cert, derivation=tuple(derivation))
 
 
 class TestBruteSumset:
@@ -321,15 +332,53 @@ class TestCheckCertificate:
         report = check_certificate(cert)
         assert report.ok, report.mismatches
 
-    def test_decoded_check_serialises_only_the_fresh_trace(self, monkeypatch):
-        cert = certificate_from_json((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
+    def test_decoded_check_serialises_nothing(self, monkeypatch):
         calls = []
-        serialise = engine.trace_to_jsonable
-        monkeypatch.setattr(
-            engine, "trace_to_jsonable", lambda trace: calls.append(trace) or serialise(trace)
-        )
+        for module, name in [
+            (engine, "jsonable"),
+            (engine, "trace_to_jsonable"),
+            (realiser, "certificate_to_jsonable"),
+        ]:
+            convert = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda v, f=convert: calls.append(v) or f(v))
+        cert = certificate_from_json((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
         assert check_certificate(cert).ok
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_in_memory_and_decoded_checks_agree(self):
+        certs = [certificate_from_json(p.read_text(encoding="utf-8")) for p in GOLDEN.glob("*.json")]
+        rng = random.Random(2020)
+        for _ in range(6):
+            values = sorted(rng.randint(1, 9) for _ in range(rng.randint(1, 3)))
+            certs.append(realise_geometric(Geometric(tuple(values))))
+            d = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+            n = tuple(rng.randint(0, 4) for _ in d)
+            nprime = tuple(rng.randint(0, 4) for _ in d)
+            certs.append(realise_sumset(SumsetFamily(d, n, nprime)))
+        tampers = [
+            _with_detail(PARAMS_CERTS["geometric"], "circle_bundle_pair", "quotient", 2.0)[1],
+            _with_detail(PARAMS_CERTS["intervals"], "connected_sum_source_sum", "exact", 1)[1],
+        ]
+        for cert in PARAMS_CERTS.values():
+            for steps in (cert.derivation[1:], cert.derivation[:-1]):
+                tampers.append(dataclasses.replace(cert, derivation=steps))
+        cert = PARAMS_CERTS["geometric"]
+        for max_d in (float(cert.params["max_d"]), cert.params["max_d"] + 1):
+            tampers.append(dataclasses.replace(cert, params={**cert.params, "max_d": max_d}))
+        for cert in certs + tampers:
+            held = check_certificate(cert)
+            decoded = check_certificate(certificate_from_json(certificate_to_json(cert)))
+            assert (held.ok, held.mismatches) == (decoded.ok, decoded.mismatches)
+            assert held.ok == (cert not in tampers), held.mismatches
+
+    def test_held_tuple_params_compare_as_their_written_lists(self):
+        # d_core is written as a list, so a tuple in memory is the same value;
+        # q is checked to be a list before it is used
+        cert = PARAMS_CERTS["geometric"]
+        core = dataclasses.replace(cert, params={**cert.params, "d_core": (2, 3)})
+        assert check_certificate(core).ok
+        qs = dataclasses.replace(cert, params={**cert.params, "q": tuple(cert.params["q"])})
+        assert check_certificate(qs).mismatches == (f"q {qs.params['q']!r} is not a list of integers",)
 
     def test_non_text_derivation_input_is_malformed(self):
         payload = json.loads(certificate_to_json(realise_geometric(Geometric((2,)))))
@@ -355,12 +404,7 @@ class TestCheckCertificate:
     )
     def test_derivation_detail_of_another_json_type_is_a_mismatch(self, cert, rule, key, value):
         # 2.0 == 2 and 1 == True in Python, but not in the certificate format
-        step = next(i for i, e in enumerate(cert.derivation) if e.rule == rule)
-        entry = cert.derivation[step]
-        details = tuple((k, value if k == key else v) for k, v in entry.details)
-        derivation = list(cert.derivation)
-        derivation[step] = dataclasses.replace(entry, details=details)
-        bad = dataclasses.replace(cert, derivation=tuple(derivation))
+        step, bad = _with_detail(cert, rule, key, value)
         for candidate in (bad, certificate_from_json(certificate_to_json(bad))):
             assert check_certificate(candidate).mismatches == (
                 f"derivation step {step + 1} is {rule}, not the calculator's trace for (M, N)",
