@@ -15,11 +15,18 @@ Whitespace is insignificant.  Parsed expressions are canonical as built, and
 ``parse_expr(print_expr(e)) == normalize(e)`` for every well-formed ``e``.
 Expressions are immutable, so the text is computed once per expression object
 and kept on it; every later :func:`print_expr` of that object returns it.
+
+A text in :func:`print_expr`'s layout without parentheses (atoms joined by
+``" # "`` into terms, terms joined by ``" x "``), such as a certificate's M and
+N, is parsed by splitting it there, and each distinct atom text is parsed once.
+Every other text, and any text on which that path fails, goes through the
+tokenizer, which raises the errors documented here.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .manifold import (
     CIRCLE,
@@ -168,6 +175,44 @@ class _Parser:
 
 def parse_expr(text: str) -> ManifoldExpr:
     """Parse a manifold expression."""
+    if type(text) is str:
+        try:
+            expr = _parse_canonical(text)
+        except (MalformedExpr, ParseError):
+            expr = None
+        if expr is not None:
+            return expr
+    return _parse_tokens(text)
+
+
+# One atom as print_expr writes it.  A longer integer takes the tokenizer path,
+# which reports one too long for int() with its column.
+_ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
+
+
+def _parse_canonical(text: str) -> ManifoldExpr | None:
+    """The expression of a text in print_expr's layout without parentheses,
+    each distinct atom text parsed once; None if the text is not in it."""
+    atoms: dict[str, ManifoldExpr] = {}
+    factors: list[ManifoldExpr] = []
+    for term in text.split(" x "):
+        pieces = term.split(" # ")
+        counts: dict[ManifoldExpr, int] = {}
+        for piece, k in Counter(pieces).items():
+            atom = atoms.get(piece)
+            if atom is None:
+                if not _ATOM_RE.fullmatch(piece):
+                    return None
+                atom = atoms[piece] = _Parser(_tokenize(piece)).parse_atom()
+            # "K(2;1)" and "K(2;01)" are one atom: count per atom, not per text
+            counts[atom] = counts.get(atom, 0) + k
+        factors.append(atom if len(pieces) == 1 else ConnSum(counts))
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+
+def _parse_tokens(text: str) -> ManifoldExpr:
+    """Parse a manifold expression through the tokenizer: any text, with
+    positioned errors.  The reference for the canonical path."""
     parser = _Parser(_tokenize(text))
     try:
         expr = parser.parse_expr()

@@ -74,7 +74,14 @@ RULE_NAMES = frozenset(
 
 @dataclass(frozen=True)
 class RuleApplication:
-    """One rule firing: which rule, on what inputs, producing which degrees."""
+    """One rule firing: which rule, on what inputs, producing which degrees.
+
+    A step is immutable: a frozen dataclass whose details are tuples of
+    expressions, DegreeSets, strings, ints and bools, as every rule here builds
+    them.  The certificate writer relies on that to keep a step's written text
+    on the step (``realiser._step_text``); a step must not be changed after it
+    is built.
+    """
 
     rule: str
     inputs: tuple[ManifoldExpr, ...]

@@ -21,9 +21,12 @@ constructed target, so a certificate cannot be produced unless construction
 and calculus agree.  Every held value is written as its
 :func:`engine.json_view`: :func:`certificate_to_json` writes the
 ``json.dumps(indent=2)`` text straight from the certificate, by
-:func:`json_text`, and only a JSON value written exactly so decodes.  A
-decoded certificate keeps its derivation as that JSON list of steps, which
-the checker compares with a fresh trace by :func:`_same`, serialising neither.
+:func:`json_text`, and only a JSON value written exactly so decodes.  Trace
+steps are immutable and shared between certificates through the engine cache,
+so a step's written text is kept on the step the first time it is written and
+reused on every later write.  A decoded certificate keeps its derivation as
+that JSON list of steps, which the checker compares with a fresh trace by
+:func:`_same`, serialising neither.
 """
 
 from __future__ import annotations
@@ -425,7 +428,9 @@ def json_text(v: object) -> str:
     """``json.dumps(engine.jsonable(v), indent=2)``, built from C-level
     pieces without building that value: every value is written as its
     :func:`engine.json_view`.  Object keys must be strings, and a value of
-    any other type raises TypeError, as it does in ``json.dumps``.
+    any other type raises TypeError, as it does in ``json.dumps``.  A trace
+    step's text is kept on the step, at the indent of a certificate's
+    derivation, the first time it is written; later writes reuse it.
     """
     return _json_text(v, "")
 
@@ -438,6 +443,8 @@ _INT_ONLY = {int}
 
 def _json_text(v: object, indent: str) -> str:
     """:func:`json_text` of ``v`` nested at ``indent``."""
+    if type(v) is RuleApplication:
+        return _step_text(v, indent)
     v = engine.json_view(v)
     t = type(v)
     if t is str:
@@ -481,6 +488,25 @@ def _json_text(v: object, indent: str) -> str:
     if isinstance(v, dict):
         return _json_text(dict(v), indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+# The indent of a step in a certificate's "derivation" list.
+_STEP_INDENT = "    "
+
+
+def _step_text(step: RuleApplication, indent: str) -> str:
+    """:func:`_json_text` of a trace step, kept on the step at the indent of a
+    certificate's steps, so that a certificate takes it as it is.  At another
+    indent it is re-indented by one replace: every control character inside a
+    string is escaped, so each newline in the text is one of the writer's own
+    line breaks, followed by at least that indent."""
+    text = getattr(step, "_text", None)
+    if text is None:
+        text = _json_text(engine.json_view(step), _STEP_INDENT)
+        object.__setattr__(step, "_text", text)
+    if indent != _STEP_INDENT:
+        text = text.replace("\n" + _STEP_INDENT, "\n" + indent)
+    return text
 
 
 def certificate_from_jsonable(obj: object) -> Certificate:

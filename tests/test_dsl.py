@@ -146,7 +146,9 @@ class TestPrint:
         rng = random.Random(11)
         for _ in range(1000):
             e = random_expr(rng)
-            assert parse_expr(print_expr(e)) == normalize(e)
+            text = print_expr(e)
+            assert parse_expr(text) == normalize(e)
+            assert parse_expr(text) == dsl._parse_tokens(text)
 
     def test_print_is_stable_under_normalize(self):
         rng = random.Random(12)
@@ -215,3 +217,55 @@ class TestStoredText:
         text = print_expr(e)
         assert text == dsl._print(e)
         assert text.count("#") == 200
+
+
+def _outcome(parse, text):
+    """What parsing ``text`` gives: the expression, or the error's type and message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalPath:
+    """Text in print_expr's layout parses each distinct atom once; every other
+    text, and every failure, takes the tokenizer path (dsl._parse_tokens)."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "K(2;1) # ",
+            "K(2;1)#K(2;1)",
+            "S(2) # K(2;1)",
+            "K(1;2)",
+            pytest.param("K(2;" + "7" * 5000 + ")", id="5000-digit-euler"),
+            pytest.param("K(2;" + "7" * 19 + ") # K(2;1)", id="19-digit-euler"),
+            "S1 # S1",
+            "S(-1)",
+            "K(2;1) x x S1",
+            "K(2;1)  # K(2;1)",
+            "S1 x (S1 x S(2))",
+            "K(2;1) # K(2;01)",
+            5,
+            None,
+            ["K(2;1)"],
+            b"S1",
+        ],
+    )
+    def test_same_result_or_error_as_the_tokenizer(self, text):
+        assert _outcome(parse_expr, text) == _outcome(dsl._parse_tokens, text)
+
+    def test_repeated_atom_texts_count_per_atom(self):
+        two = ConnSum({K(2, 1): 2})
+        assert parse_expr("K(2;1) # K(2;01)") == two
+        assert parse_expr("K(2;01) # K(2;1) x S1") == Product((two, CIRCLE))
+        assert parse_expr("K(2;1) # K(2;1) # K(2;-0) # K(2;0)") == ConnSum({K(2, 1): 2, K(2, 0): 2})
+
+    def test_each_distinct_atom_text_is_tokenized_once(self, monkeypatch):
+        texts = []
+        real = dsl._tokenize
+        monkeypatch.setattr(dsl, "_tokenize", lambda t: texts.append(t) or real(t))
+        expr = parse_expr(" # ".join(["K(2;5)"] * 50 + ["K(2;7)"] * 30) + " x S1")
+        assert sorted(texts) == ["K(2;5)", "K(2;7)", "S1"]
+        assert expr == Product((ConnSum({K(2, 5): 50, K(2, 7): 30}), CIRCLE))

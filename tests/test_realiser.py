@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import engine
+from degreecalc import dsl, engine
 from degreecalc.dsl import parse_expr, print_expr
-from degreecalc.engine import degree_set_exact
+from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
 from degreecalc.manifold import CircleBundle, ConnSum, normalize
 from degreecalc.realiser import (
@@ -22,6 +22,7 @@ from degreecalc.realiser import (
     ArithIntervals,
     Geometric,
     InvalidSpec,
+    MalformedCertificate,
     SubsetSums,
     SumsetFamily,
     ZeroNotContained,
@@ -424,6 +425,64 @@ def test_certificate_json_is_json_dumps_of_its_jsonable_form():
     held += [step, check_certificate(certs[0]).to_jsonable()]
     for value in held:
         assert json_text(value) == json.dumps(engine.jsonable(value), indent=2)
+    # a step's kept text is re-indented at every depth, whichever depth writes it first
+    depths = [
+        lambda s: s,
+        lambda s: (s,),
+        lambda s: _layout(replace(certs[0], derivation=(s,))),
+    ]
+    for order in itertools.permutations(depths):
+        inputs = (CircleBundle(2, 1), CircleBundle(2, 2))
+        step = RuleApplication("undetermined", inputs, fin([0]), (("reason", 'a\nb "q" é'),))
+        for depth in order:
+            value = depth(step)
+            assert json_text(value) == json.dumps(engine.jsonable(value), indent=2)
+
+
+def test_shared_steps_are_written_once(monkeypatch):
+    engine.clear_cache()
+    first = realise_geometric(Geometric((3, 4)))
+    second = realise_geometric(Geometric((3,)))  # the first's (3, 5) block
+    assert {id(e) for e in second.derivation} <= {id(e) for e in first.derivation}
+    certificate_to_json(first)
+    viewed = []
+    view = engine.json_view
+    monkeypatch.setattr(engine, "json_view", lambda v: viewed.append(v) or view(v))
+    text = certificate_to_json(second)
+    assert viewed and not any(isinstance(v, RuleApplication) for v in viewed)
+    monkeypatch.undo()
+    assert text == json.dumps(certificate_to_jsonable(second), indent=2)
+
+
+def test_certificate_texts_parse_as_the_tokenizer_parses_them():
+    texts = []
+    for path in GOLDEN.glob("*.json"):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        texts += [obj["M"], obj["N"]]
+    rng = random.Random(21)
+    certs = []
+    for _ in range(400):
+        values = sorted(rng.randint(1, 13) for _ in range(rng.randint(1, 6)))
+        certs.append(realise_geometric(Geometric(tuple(values))))
+    for _ in range(100):
+        d = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        n, nprime = (tuple(rng.randint(0, 30) for _ in d) for _ in "nn")
+        certs.append(realise_sumset(SumsetFamily(d, n, nprime)))
+    texts += [print_expr(x) for cert in certs for x in (cert.m, cert.n)]
+    assert len(texts) == 1014
+    for text in texts:
+        assert parse_expr(text) == dsl._parse_tokens(text), text
+
+
+@pytest.mark.parametrize("m, got", [(5, "int"), (None, "NoneType"), (["K(2;1)"], "list")])
+def test_non_string_expression_keeps_its_decode_error(m, got):
+    obj = json.loads((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))
+    obj["M"] = m
+    with pytest.raises(MalformedCertificate) as err:
+        certificate_from_json(json.dumps(obj, indent=2))
+    assert str(err.value) == (
+        f"cannot decode certificate: expected string or bytes-like object, got '{got}'"
+    )
 
 
 def test_decoded_step_keys_keep_their_order():
@@ -443,3 +502,8 @@ def test_writer_rejects_values_json_cannot_write():
         certificate_to_json(bad)
     with pytest.raises(TypeError):
         json_text([1, object()])
+    # a step that cannot be written keeps no text, so the second write raises too
+    step = RuleApplication("undetermined", (), fin([0]), (("reason", {5}),))
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            json_text((step,))
