@@ -118,7 +118,7 @@ def _make_bound(
 ) -> SetBound:
     if lower.is_all:
         upper = ALL_INTEGERS
-    if upper is not None and not upper.is_all:
+    if upper is not None and upper is not lower and not upper.is_all:
         if lower.is_all or not set(upper.elements).issuperset(lower.elements):
             raise EngineInvariantError(
                 f"lower bound {lower} escapes upper bound {upper}"

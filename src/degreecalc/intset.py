@@ -10,9 +10,13 @@ JSON do not depend on how a set was computed.  Minkowski sums, which connected
 sums of manifolds fold by the hundreds, go through one kernel,
 :func:`weighted_sumset`: inside it a finite set with minimum ``lo`` becomes
 the Python integer ``sum(1 << (x - lo))``, and adding a set is a shift-OR of
-the denser mask once for each element of the sparser one.  Sets whose span is
-large compared with their size stay element tuples and add pairwise, so a
-mask never grows far beyond the pairwise work it replaces.
+the denser mask once for each element of the sparser one.  A part that is an
+arithmetic progression {0, h, ..., t}, such as a two-element set or an
+interval, is added with all its copies at once: n copies make the progression
+{0, h, ..., n * t}, which doubling shift-ORs add to the running mask in
+O(log(n * t / h)) steps.  Sets whose span is large compared with their size
+stay element tuples and add pairwise, so a mask never grows far beyond the
+pairwise work it replaces.
 :func:`naive_sumset` keeps the plain pairwise sum as the reference that tests
 compare the kernel against.
 
@@ -155,19 +159,23 @@ def naive_sumset(a: DegreeSet, b: DegreeSet) -> DegreeSet:
 def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
     """The Minkowski sum of the given sets, each added to itself count times.
 
-    A part with count 0 contributes {0}.  Otherwise an empty part makes the
+    A count must be a non-negative int (``TypeError``, ``ValueError``).  A
+    part with count 0 contributes {0}.  Otherwise an empty part makes the
     sum empty, and all of Z makes it all of Z.  The endpoints of the result
-    are checked against the 64-bit range before any work is done.
+    are checked against the 64-bit range before any work is done.  A part
+    that is an arithmetic progression adds all its copies in one step of
+    :func:`_progression`; any other part is doubled up to its count by
+    :func:`_n_fold`.
     """
-    parts = [(p.elements, n) for p, n in parts if n]
+    parts = [(p.elements, n) for p, n in parts if _count(n)]
     if any(p == () for p, _ in parts):
         return EMPTY
     if any(p is None for p, _ in parts):
         return ALL_INTEGERS
     lo = _check_element(sum(n * p[0] for p, n in parts))
     _check_element(sum(n * p[-1] for p, n in parts))
-    # Every part is p[0] + step * h * r with r >= 0 and gcd(r) = 1, so an
-    # arithmetic progression of any step folds as the interval r it scales.
+    # Every part is p[0] + step * r with r >= 0: the common step scales the
+    # whole sum, and r = {0, h, ..., t} with h = gcd(r) is a progression.
     step = gcd(*(x - p[0] for p, _ in parts for x in p)) or 1
     acc: _Shape = 1  # the mask of {0}; a one-element part only moves lo
     for p, n in parts:
@@ -175,11 +183,22 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
             continue
         r = tuple((x - p[0]) // step for x in p)
         h = gcd(*r)
+        if r[-1] == h * (len(r) - 1):  # r is {0, h, ..., t}
+            acc = _progression(acc, h, n * (len(r) - 1))
+            continue
         block = _n_fold(tuple(x // h for x in r) if h > 1 else r, n)
         if h > 1:
             block = tuple(x * h for x in _elements(block))
         acc = block if acc == 1 else _add(acc, block)
     return _trusted(_elements(acc, lo, step))
+
+
+def _count(n: object) -> int:
+    if type(n) is not int:
+        raise TypeError(f"counts must be integers, got {n!r}")
+    if n < 0:
+        raise ValueError(f"counts must be non-negative, got {n}")
+    return n
 
 
 # Kernel values are sets of non-negative integers containing 0, held either
@@ -241,11 +260,33 @@ def _add(a: _Shape, b: _Shape) -> _Shape:
     return out
 
 
+def _progression(acc: _Shape, h: int, k: int) -> _Shape:
+    """acc + {0, h, 2h, ..., k * h} (k >= 1), by doubling shift-ORs.
+
+    The size rule is :func:`_add`'s: the mask is used only while the span of
+    the result is below the number of element pairs; otherwise the
+    progression's elements add pairwise.
+    """
+    if acc == 1 and h == 1:
+        return (1 << (k + 1)) - 1
+    if _top(acc) + k * h >= _size(acc) * (k + 1):
+        terms = tuple(range(0, k * h + 1, h))
+        return terms if acc == 1 else _add(acc, terms)
+    acc = _mask(acc)
+    # The widest term first: a sum too large to hold fails at its first
+    # allocation instead of after the doublings below have grown to it.
+    last = acc << (k * h)
+    w = 1  # acc holds acc + {0, h, ..., (w - 1) * h}
+    while 2 * w <= k:
+        acc |= acc << (w * h)
+        w <<= 1
+    if w < k:
+        acc |= acc << ((k - w) * h)
+    return acc | last
+
+
 def _n_fold(v: tuple[int, ...], n: int) -> _Shape:
     """v + v + ... + v (n >= 1 copies)."""
-    if len(v) == v[-1] + 1:
-        # n copies of the interval [0, t] add up to the interval [0, n * t]
-        return (1 << (n * v[-1] + 1)) - 1
     acc: _Shape = 1
     part: _Shape = v
     while True:

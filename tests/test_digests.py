@@ -14,6 +14,7 @@ from pathlib import Path
 
 from degreecalc.dsl import print_expr
 from degreecalc.engine import bound_to_jsonable, degree_bounds
+from degreecalc.intset import DegreeSet, weighted_sumset
 from degreecalc.manifold import CircleBundle, ConnSum, conn_sum, normalize, product
 from degreecalc.realiser import (
     ArithIntervals,
@@ -144,12 +145,60 @@ def target_sums_digest() -> str:
     return digest.hexdigest()
 
 
+def sum_kernel_folds() -> list:
+    """1,000 seeded folds for :func:`weighted_sumset`, 200 of each kind:
+    a two-element part with a count up to 1,000 (with up to two small
+    parts), 1-3 intervals, parts of a wide step beside {0, 1}, 1-4 parts
+    that are not progressions, and subset-sum-like lists of 15-40
+    two-element parts."""
+    rng = random.Random(17)
+    fin = DegreeSet.finite
+    folds = []
+    for i in range(1000):
+        kind = i % 5
+        if kind == 0:
+            a, d = rng.randint(-50, 50), rng.choice((-1, 1)) * rng.randint(1, 40)
+            parts = [(fin((a, a + d)), rng.randint(0, 1000))]
+            parts += [(fin((0, rng.randint(1, 9))), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+        elif kind == 1:
+            parts = []
+            for _ in range(rng.randint(1, 3)):
+                lo = rng.randint(-20, 20)
+                parts.append((fin(range(lo, lo + rng.randint(1, 20) + 1)), rng.randint(0, 50)))
+        elif kind == 2:
+            wide = rng.choice((10**9, 10**12, 3 * 10**12))
+            parts = [(fin((0, wide * rng.randint(1, 5))), rng.randint(0, 20)) for _ in range(rng.randint(1, 2))]
+            parts.append((fin((0, 1)), rng.randint(0, 20)))
+        elif kind == 3:
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                values = {rng.randint(-20, 20) for _ in range(rng.randint(3, 6))}
+                parts.append((fin(values), rng.randint(0, 5)))
+        else:
+            values = rng.sample([v for v in range(-60, 61) if v], rng.randint(15, 40))
+            parts = [(fin((0, v)), 1 if rng.random() < 0.8 else 2) for v in values]
+        rng.shuffle(parts)
+        folds.append(parts)
+    return folds
+
+
+def sum_kernel_digest() -> str:
+    """SHA-256 over the elements of :func:`weighted_sumset` on each of the
+    :func:`sum_kernel_folds`."""
+    digest = hashlib.sha256()
+    for parts in sum_kernel_folds():
+        digest.update(json.dumps(weighted_sumset(parts).elements).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 DIGEST_FUNCTIONS = {
     "product_pairs": product_pairs_digest,
     "exprs": exprs_digest,
     "certificates": certificates_digest,
     "sumset_certificates": sumset_certificates_digest,
     "target_sums": target_sums_digest,
+    "sum_kernel": sum_kernel_digest,
 }
 
 
@@ -175,6 +224,10 @@ def test_sumset_certificates_digest():
 
 def test_target_sums_digest():
     assert target_sums_digest() == recorded("target_sums")
+
+
+def test_sum_kernel_digest():
+    assert sum_kernel_digest() == recorded("sum_kernel")
 
 
 def test_sumset_certificates_decode_to_their_own_text():

@@ -38,6 +38,21 @@ def rules(bound):
     return [entry.rule for entry in bound.trace]
 
 
+class TestMakeBound:
+    def test_lower_outside_a_distinct_upper_is_an_invariant_error(self):
+        with pytest.raises(engine.EngineInvariantError):
+            engine._make_bound(fin([0, 1, 2]), fin([0, 2]), [])
+        with pytest.raises(engine.EngineInvariantError):
+            engine._make_bound(fin([5]), fin([0]), [])
+
+    def test_upper_may_be_the_lower_set_itself(self):
+        s = fin([0, 3])
+        bound = engine._make_bound(s, s, [])
+        assert bound.lower is s and bound.upper is s and bound.exact
+        bound = engine._make_bound(s, fin([0, 3]), [])
+        assert bound.exact
+
+
 class TestCirclePair:
     def test_all_integers(self):
         bound = degree_bounds(CIRCLE, CIRCLE)

@@ -125,12 +125,53 @@ class TestSumKernel:
         assert sumset(fin([0, 1, t]), fin([0, 1, 3 * t])) == fin(
             [0, 1, 2, t, t + 1, 3 * t, 3 * t + 1, 4 * t]
         )
+        # a progression of step t on a mask: its elements add pairwise
+        assert intset._progression(0b11, t, 3) == (0, 1, t, t + 1, 2 * t, 2 * t + 1, 3 * t, 3 * t + 1)
+        assert weighted_sumset([(fin([0, 1]), 1), (fin([0, t]), 3)]) == fin(
+            [k * t + e for k in range(4) for e in (0, 1)]
+        )
 
     def test_long_progression_with_a_wide_step(self):
         t = 10**12
         assert weighted_sumset([(fin([0, t]), 5000), (fin([0, 1]), 1)]) == fin(
             [k * t + e for k in range(5001) for e in (0, 1)]
         )
+
+    def test_progression_counts_against_closed_forms(self):
+        # k + 1 terms for every k up to 900, powers of two and their neighbours
+        # among them; as the first part and after a part that is not one
+        for n in range(301):
+            assert weighted_sumset([(fin([-2, 5]), n)]) == fin(range(-2 * n, 5 * n + 1, 7))
+            assert weighted_sumset([(fin([0, 1, 3]), 1), (fin([0, 2]), n)]) == fin(
+                [*range(2 * n + 2), 2 * n + 3]
+            )
+            assert weighted_sumset([(fin([0, 1, 3]), 1), (fin([4, 6, 8, 10]), n)]) == fin(
+                [*range(4 * n, 10 * n + 2), 10 * n + 3]
+            )
+
+    @pytest.mark.parametrize("h", [1, 2, 7, 10**12])
+    def test_progressions_match_the_reference(self, h):
+        other = fin([0, 1, 5])  # not a progression
+        for terms in (2, 3, 4, 5):
+            prog = fin(3 - h + h * j for j in range(terms))
+            for n in range(7):
+                for m in range(3):
+                    for parts in (
+                        [(prog, n), (other, m)],
+                        [(other, m), (prog, n)],
+                        [(prog, n), (fin([0, h]), 3), (other, m)],
+                        [(other, m), (fin([-1, 0, 1]), 2), (prog, n)],
+                    ):
+                        assert weighted_sumset(parts) == reference_fold(parts), parts
+
+    def test_counts_must_be_non_negative_ints(self):
+        for p in (fin([0, 2]), fin([0, 1]), fin([0, 1, 3]), EMPTY, ALL_INTEGERS):
+            for n in (-1, -3):
+                with pytest.raises(ValueError):
+                    weighted_sumset([(p, n)])
+            for n in (1.0, 0.0, True, False, "2", None):
+                with pytest.raises(TypeError):
+                    weighted_sumset([(fin([0, 1]), 1), (p, n)])
 
     def test_overflow_is_found_before_the_sum_is_built(self):
         # a mask for this sum would need 2**64 bits
