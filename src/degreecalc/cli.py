@@ -99,9 +99,7 @@ def _parse_intervals(text: str) -> ArithIntervals:
             bounds.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise _UsageError(f"interval {chunk!r} has non-integer bounds") from exc
-    if not bounds:
-        raise _UsageError("no intervals given")
-    return ArithIntervals(tuple(bounds))
+    return ArithIntervals(tuple(bounds))  # the spec rejects an empty or invalid sequence
 
 
 def _parse_progression(text: str) -> ArithIntervals:
@@ -112,12 +110,10 @@ def _parse_progression(text: str) -> ArithIntervals:
         start, step, count = (int(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(f"progression {text!r} has non-integer fields") from exc
-    if count < 1:
-        raise _UsageError("progression count must be >= 1")
-    if step <= 0 and count > 1:
+    if step <= 0 and count > 1:  # rejected before a list of count values is built
         raise _UsageError("progression step must be positive")
     values = [start + i * step for i in range(count)]
-    return ArithIntervals(tuple((v, v) for v in values))
+    return ArithIntervals(tuple((v, v) for v in values))  # the spec rejects a count < 1
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

@@ -118,8 +118,8 @@ def _make_bound(
 ) -> SetBound:
     if lower.is_all:
         upper = ALL_INTEGERS
-    if upper is not None and upper is not lower and not upper.is_all:
-        if lower.is_all or not set(upper.elements).issuperset(lower.elements):
+    elif upper is not None and upper is not lower and not upper.is_all:
+        if not set(upper.elements).issuperset(lower.elements):
             raise EngineInvariantError(
                 f"lower bound {lower} escapes upper bound {upper}"
             )
@@ -263,11 +263,9 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
 
     lower = _fold_sumsets([(c.lower, count) for c, count in children])
     pi2 = _pi2_trivial_or_none(n)
-    upper: Optional[DegreeSet] = None
-    if pi2 and all(c.exact for c, _ in children):
-        upper = lower
-    elif pi2 and all(c.upper is not None for c, _ in children):
-        upper = _fold_sumsets([(c.upper, count) for c, count in children])
+    # One fold: pi2 holds only for a bundle N (sums go to _target_conn_sum),
+    # and against it a summand is exact or has no upper set at all.
+    upper = lower if pi2 and all(c.exact for c, _ in children) else None
     entry = RuleApplication(
         "connected_sum_source_sum",
         (m, n),
@@ -275,7 +273,7 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
         (
             ("summand_count", sum(count for _, count in m.counts)),
             ("pi2_trivial_target", bool(pi2)),
-            ("exact", upper is not None and intset.equals(lower, upper)),
+            ("exact", upper is not None),
         ),
     )
     trace.append(entry)
@@ -423,12 +421,10 @@ def _clamped(p: DegreeSet) -> DegreeSet:
     return DegreeSet.finite((-1, 0, 1)) if p.is_all else p
 
 
-def _bundle_summands(n: ManifoldExpr) -> list[CircleBundle]:
+def _bundle_summands(n: CircleBundle | ConnSum) -> list[CircleBundle]:
     if isinstance(n, CircleBundle):
         return [n]
-    if isinstance(n, ConnSum):
-        return [s for s, _ in n.counts if isinstance(s, CircleBundle)]
-    return []
+    return [s for s, _ in n.counts if isinstance(s, CircleBundle)]
 
 
 def _kill_summand(source: ManifoldExpr, target: ManifoldExpr) -> Optional[CircleBundle]:
@@ -550,12 +546,11 @@ def _product_pair(m: Product, n: Product) -> SetBound:
             for child in children:
                 trace.extend(child.trace)
             exact = _fold_product_sets([c.lower for c in children])
-            if not lower.is_all and not exact.is_all:
-                if not set(lower.elements) <= set(exact.elements):
-                    raise EngineInvariantError(
-                        f"factor pairing disagreement: realised {lower} "
-                        f"outside decided {exact}"
-                    )
+            if not exact.is_all and not set(lower.elements) <= set(exact.elements):
+                raise EngineInvariantError(
+                    f"factor pairing disagreement: realised {lower} "
+                    f"outside decided {exact}"
+                )
             trace.append(
                 RuleApplication(
                     "product_exactness_chain",

@@ -26,12 +26,13 @@ and :func:`from_jsonable` check the types, and all three check the int64
 range.  The results of :func:`weighted_sumset` (so :func:`sumset`),
 :func:`intersect`, :func:`negate` and :func:`interval` are built from
 elements the kernel already holds sorted, distinct and in range, and skip
-those checks; the range checks they still need (the sum's endpoints, the
-negated minimum, the interval's bounds) run before the result is built.
+those checks; the checks they still need (the sum's endpoints, the negated
+minimum, the interval's bounds and size) run before the result is built.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count
@@ -359,6 +360,8 @@ def interval(lo: int, hi: int) -> DegreeSet:
         raise InvalidInterval(f"interval bounds out of order: [{lo}, {hi}]")
     _check_element(lo)
     _check_element(hi)
+    if hi - lo >= sys.maxsize:  # more elements than a range or tuple can hold
+        raise IntegerOverflow(f"interval [{lo}, {hi}] has too many elements to store")
     return _trusted(tuple(range(lo, hi + 1)))
 
 

@@ -141,10 +141,7 @@ def _certified(
             f"construction for {spec!r} is not decided by the calculator: "
             f"lower {bound.lower}, upper {bound.upper}"
         )
-    target = bound.lower
-    if 0 not in target:
-        raise RealisationFailed(f"constructed set {target} misses 0")
-    return Certificate(spec, target, m, n, params, bound.trace)
+    return Certificate(spec, bound.lower, m, n, params, bound.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +469,12 @@ def _json_text(v: object, indent: str) -> str:
         return "true"
     if v is False:
         return "false"
-    # floats, and subclasses of the types above, as json.dumps takes them
-    if isinstance(v, str):
-        return _escape(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v in (math.inf, -math.inf):
-            return "Infinity" if v > 0 else "-Infinity"
-        return float.__repr__(v)
+    # container subclasses may hold values for json_view; json.dumps does the rest
     if isinstance(v, (list, tuple)):
         return _json_text(list(v), indent)
     if isinstance(v, dict):
         return _json_text(dict(v), indent)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    return json.dumps(v)
 
 
 # The indent of a step in a certificate's "derivation" list.

@@ -146,27 +146,26 @@ def oracle_set(spec: object) -> DegreeSet:
 @dataclass(frozen=True)
 class Report:
     ok: bool
-    engine_bound: Optional[SetBound]
+    engine_bound: SetBound
     oracle: Optional[DegreeSet]
     mismatches: tuple[str, ...]
 
     def to_jsonable(self) -> dict:
         return {
             "ok": self.ok,
-            "engine": None if self.engine_bound is None else engine.bound_to_jsonable(self.engine_bound),
+            "engine": engine.bound_to_jsonable(self.engine_bound),
             "oracle": engine.jsonable(self.oracle),
             "mismatches": list(self.mismatches),
         }
 
     def to_text(self) -> str:
         lines = [f"certificate check: {'OK' if self.ok else 'FAIL'}"]
-        if self.engine_bound is not None:
-            b = self.engine_bound
-            if b.exact:
-                lines.append(f"  calculator: exact {b.lower}")
-            else:
-                upper = "unknown" if b.upper is None else str(b.upper)
-                lines.append(f"  calculator: undecided (lower {b.lower}, upper {upper})")
+        b = self.engine_bound
+        if b.exact:
+            lines.append(f"  calculator: exact {b.lower}")
+        else:
+            upper = "unknown" if b.upper is None else str(b.upper)
+            lines.append(f"  calculator: undecided (lower {b.lower}, upper {upper})")
         if self.oracle is not None:
             lines.append(f"  oracle: {self.oracle}")
         for msg in self.mismatches:
@@ -180,15 +179,10 @@ def _closed_form_bundles(a: CircleBundle, b: CircleBundle) -> DegreeSet:
     return ZERO_ONLY
 
 
-class _Where:
-    """Lazy location string: derivations are long and mostly fine."""
-
-    def __init__(self, entry: RuleApplication):
-        self.entry = entry
-
-    def __str__(self) -> str:
-        inputs = ", ".join(print_expr(x) for x in self.entry.inputs)
-        return f"step {self.entry.rule} on ({inputs})"
+def _where(entry: RuleApplication) -> str:
+    """The location of a problem: built only when one is found."""
+    inputs = ", ".join(print_expr(x) for x in entry.inputs)
+    return f"step {entry.rule} on ({inputs})"
 
 
 def _kills_by_closed_form(source: ManifoldExpr, k: CircleBundle) -> bool:
@@ -206,23 +200,22 @@ def _kills_by_closed_form(source: ManifoldExpr, k: CircleBundle) -> bool:
 
 def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
     rule = entry.rule
-    where = _Where(entry)
-
     if rule == "circle_bundle_pair":
         a, b = entry.inputs
         if a.base_genus != b.base_genus:
-            problems.append(f"{where}: bundles over different bases")
+            problems.append(f"{_where(entry)}: bundles over different bases")
         elif a.euler == 0:
-            problems.append(f"{where}: source Euler number 0 has no closed form")
+            problems.append(f"{_where(entry)}: source Euler number 0 has no closed form")
         elif not intset.equals(entry.produced, _closed_form_bundles(a, b)):
             problems.append(
-                f"{where}: produced {entry.produced}, closed form gives {_closed_form_bundles(a, b)}"
+                f"{_where(entry)}: produced {entry.produced}, "
+                f"closed form gives {_closed_form_bundles(a, b)}"
             )
 
     elif rule == "pinch_to_submanifold":
         m, n = entry.inputs
         if summand_multiset(n) - summand_multiset(m):
-            problems.append(f"{where}: target summands are not a sub-multiset of the source")
+            problems.append(f"{_where(entry)}: target summands are not a sub-multiset of the source")
 
     elif rule == "fiberwise_covering_lift":
         m, n = entry.inputs
@@ -231,17 +224,17 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
         cover = entry.detail("cover_bundle")
         if bundle.euler % d != 0 or cover.euler != bundle.euler // d:
             problems.append(
-                f"{where}: {d} does not divide Euler number {bundle.euler} compatibly"
+                f"{_where(entry)}: {d} does not divide Euler number {bundle.euler} compatibly"
             )
             return
         s_n = summand_multiset(n)
         if s_n.get(bundle, 0) < 1:
-            problems.append(f"{where}: covered bundle is not a summand of the target")
+            problems.append(f"{_where(entry)}: covered bundle is not a summand of the target")
             return
         carrier = Counter({k: v * d for k, v in (s_n - Counter([bundle])).items()})
         carrier[cover] += 1
         if carrier - summand_multiset(m):
-            problems.append(f"{where}: covering source does not embed in the source summands")
+            problems.append(f"{_where(entry)}: covering source does not embed in the source summands")
 
     elif rule == "product_exactness_chain":
         # The factor product itself is not recomputed: a wrong one changes
@@ -251,19 +244,19 @@ def _recheck_entry(entry: RuleApplication, problems: list[str]) -> None:
         for src, k in kills:
             if not _kills_by_closed_form(src, k):
                 problems.append(
-                    f"{where}: {print_expr(k)} does not have degree set {{0}} "
+                    f"{_where(entry)}: {print_expr(k)} does not have degree set {{0}} "
                     f"from {print_expr(src)}"
                 )
         for idx, (_, tgt) in enumerate(order[1:], 1):
             summands = summand_multiset(tgt)
             if not any(isinstance(s, CircleBundle) and s.euler != 0 for s in summands):
                 problems.append(
-                    f"{where}: factor target {print_expr(tgt)} may be dominated by products"
+                    f"{_where(entry)}: factor target {print_expr(tgt)} may be dominated by products"
                 )
             for src, _ in order[:idx]:
                 if not any((src, s) in kills for s in summands):
                     problems.append(
-                        f"{where}: no recorded kill of {print_expr(src)} "
+                        f"{_where(entry)}: no recorded kill of {print_expr(src)} "
                         f"by a summand of {print_expr(tgt)}"
                     )
 

@@ -8,6 +8,11 @@ import sys
 import time
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 from degreecalc import engine, realiser
@@ -65,6 +70,18 @@ class TestCompute:
         code, _, err = run(capsys, "compute", f"S({'1' * 5000}) -> S(1)")
         assert code == 2
         assert "too long at line 1, column 3" in err
+
+    def test_interval_too_long_to_store_is_usage_error(self, capsys):
+        # the surface pair's interval [-(2^63 - 2), 2^63 - 2] has more
+        # elements than a range can count
+        start = time.perf_counter()
+        code, _, err = run(capsys, "compute", "S(9223372036854775807) -> S(2)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (
+            "error: interval [-9223372036854775806, 9223372036854775806] "
+            "has too many elements to store\n"
+        )
 
     def test_missing_arrow_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "compute", "K(2;3)")
@@ -189,6 +206,53 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "arith", "--progression", "1:4:3")
         assert code == 2
         assert "0" in err
+
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("--intervals=0,1,2", "interval '0,1,2' is not of the form b,c"),
+            ("--intervals=0,x", "interval '0,x' has non-integer bounds"),
+            ("--intervals=;", "interval sequence must be non-empty"),
+            ("--progression=0:1", "progression '0:1' is not start:step:count"),
+            ("--progression=0:x:3", "progression '0:x:3' has non-integer fields"),
+            ("--progression=0:1:0", "interval sequence must be non-empty"),
+            ("--progression=0:0:3", "progression step must be positive"),
+            ("--progression=0:-1:3", "progression step must be positive"),
+        ],
+    )
+    def test_bad_interval_spec_is_usage_error(self, capsys, arg, message):
+        code, out, err = run(capsys, "realize", "arith", arg)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.skipif(resource is None, reason="platform has no resource limits")
+    @pytest.mark.parametrize("progression", ["0:0:1000000000000", "0:-1:1000000000"])
+    def test_nonpositive_step_is_refused_before_the_values_are_built(self, progression):
+        # in a child under a 1 GiB address-space limit: were the values built
+        # before the step is checked, the list would grow until memory ran out
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "degreecalc.cli", "realize", "arith",
+             "--progression", progression],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=limit_memory,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: progression step must be positive\n"
+
+    def test_empty_interval_chunk_is_skipped(self, capsys):
+        assert run(capsys, "realize", "arith", "--intervals=0,1;") == run(
+            capsys, "realize", "arith", "--intervals=0,1"
+        )
 
     def test_bad_values_usage_error(self, capsys):
         code, _, _ = run(capsys, "realize", "geom", "--values", "2,x")
@@ -413,6 +477,29 @@ class TestVerify:
         assert code == 1
         [mismatch] = json.loads(out)["mismatches"]
         assert mismatch.startswith("derivation step ")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: [c], "certificate must be an object, got list"),
+            (
+                lambda c: {**c, "target": {"kind": "all_integers"}},
+                "certificate target must be a finite set",
+            ),
+            (lambda c: {**c, "M": "S(2)"}, "certificate manifolds have different dimensions"),
+        ],
+        ids=["not_an_object", "all_integers_target", "dimensions_differ"],
+    )
+    def test_certificate_without_a_checkable_pair_is_usage_error(
+        self, capsys, tmp_path, edit, message
+    ):
+        payload = json.loads((GOLDEN / "geometric_2_3.json").read_text())
+        out_path = tmp_path / "cert.json"
+        out_path.write_text(json.dumps(edit(payload)))
+        code, out, err = run(capsys, "verify", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cap", ["abc", "1e3"])
     def test_malformed_enum_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, cap):

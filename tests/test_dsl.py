@@ -74,6 +74,7 @@ class TestParse:
             ("K(2;3) #\n\n K(2;", 3, 6),
             ("K(2;3) #\n K(2;1) x\n", 3, 1),
             ("S1 x\n\tS1 x S1\n  S1", 3, 3),
+            ("K(2;3)\n # K(2;-)", 2, 8),
         ],
     )
     def test_later_lines_count_columns_from_the_line_start(self, text, line, column):

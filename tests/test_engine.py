@@ -19,10 +19,13 @@ from degreecalc.intset import ALL_INTEGERS, EMPTY, ZERO_ONLY, DegreeSet, naive_s
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
+    ConnSum,
     Surface,
     conn_sum,
+    dimension,
     normalize,
     product,
+    summand_multiset,
 )
 
 from conftest import random_expr, random_factor_pairs
@@ -86,6 +89,9 @@ class TestCircleBundlePair:
 
     def test_does_not_divide(self):
         assert degree_set_exact(K(2, 2), K(2, 3)) == fin([0])
+        [step] = degree_bounds(K(2, 2), K(2, 3)).trace
+        assert step.detail("quotient") is None
+        assert step.detail("quotient", "none") == "none"
 
     def test_signed_quotients(self):
         assert degree_set_exact(K(2, -2), K(2, 6)) == fin([-3, 0])
@@ -149,6 +155,30 @@ class TestSourceConnectedSum:
         m = conn_sum(Surface(2), Surface(3))
         bound = degree_bounds(m, Surface(1))
         assert bound.exact and bound.lower.is_all
+
+    def test_upper_set_is_the_folded_lower_set_or_unknown(self):
+        # One fold decides a sum of 3-manifolds mapping to a bundle: exact,
+        # with the lower set as its own upper set, or no upper set at all.
+        rng = random.Random(91)
+        pairs = []
+        while len(pairs) < 400:
+            m = random_expr(rng)
+            if isinstance(m, ConnSum) and dimension(m) == 3:
+                pairs.append((m, K(rng.randint(2, 4), rng.randint(-9, 9))))
+        for _ in range(150):
+            for m, n in random_factor_pairs(rng):
+                if isinstance(m, ConnSum):
+                    pairs.extend((m, t) for t in summand_multiset(n))
+        outcomes = set()
+        for m, n in pairs:
+            bound = degree_bounds(m, n)
+            assert bound.upper is None or bound.upper is bound.lower, (m, n)
+            [step] = [
+                e for e in bound.trace if e.rule == "connected_sum_source_sum" and e.inputs == (m, n)
+            ]
+            assert step.detail("exact") == bound.exact, (m, n)
+            outcomes.add(bound.exact)
+        assert outcomes == {True, False}
 
 
 class TestSourceSumOracle:

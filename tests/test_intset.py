@@ -264,6 +264,16 @@ class TestInterval:
         with pytest.raises(InvalidInterval):
             interval(1, 0)
 
+    def test_bounds_must_be_integers(self):
+        with pytest.raises(TypeError):
+            interval(True, 3)
+
+    def test_more_elements_than_a_tuple_holds_is_overflow(self):
+        # raised before any range is built
+        for lo, hi in [(0, INT64_MAX), (INT64_MIN, 0), (INT64_MIN, INT64_MAX)]:
+            with pytest.raises(IntegerOverflow, match=f"interval \\[{lo}, {hi}\\]"):
+                interval(lo, hi)
+
 
 class TestRepresentation:
     def test_sorted_dedup(self):
@@ -289,6 +299,12 @@ class TestRepresentation:
         assert str(ALL_INTEGERS) == "Z"
         assert str(EMPTY) == "{}"
 
+    def test_iteration(self):
+        assert list(fin([3, -1, 0])) == [-1, 0, 3]
+        assert list(EMPTY) == []
+        with pytest.raises(TypeError):
+            iter(ALL_INTEGERS)
+
     def test_json_round_trip(self):
         for a in (fin([-3, 0, 7]), EMPTY, ALL_INTEGERS):
             assert intset.from_jsonable(intset.to_jsonable(a)) == a
@@ -300,6 +316,8 @@ class TestRepresentation:
             intset.from_jsonable({"kind": "lattice"})
         with pytest.raises(ValueError):
             intset.from_jsonable({"kind": "finite", "elements": [1, True]})
+        with pytest.raises(ValueError):
+            intset.from_jsonable(5)
 
 
 def seeded_sets(seed):
@@ -381,6 +399,8 @@ class TestBoundaries:
             weighted_sumset([(fin([0, INT64_MAX]), 2)])
         with pytest.raises(IntegerOverflow):
             fin([INT64_MAX + 1])
+        with pytest.raises(IntegerOverflow):
+            fin([0, 2**63])
 
     def test_negate_keeps_int64_max(self):
         assert negate(fin([-INT64_MAX, 0])) == fin([0, INT64_MAX])

@@ -47,6 +47,14 @@ class TestDimension:
         with pytest.raises(MalformedExpr):
             ConnSum((Surface(2), K(2, 3)))
 
+    def test_empty_sum_rejected(self):
+        with pytest.raises(MalformedExpr):
+            ConnSum(())
+
+    def test_non_expression_rejected(self):
+        with pytest.raises(MalformedExpr):
+            dimension(5)
+
     def test_circle_summand_rejected(self):
         with pytest.raises(MalformedExpr):
             ConnSum((CIRCLE, CIRCLE))
@@ -167,6 +175,7 @@ class TestProductDominationFree:
 
     def test_conservative_on_products(self):
         assert is_product_domination_free(Product((CIRCLE, Surface(2)))) is False
+        assert is_product_domination_free(Product((K(2, 5), K(3, 7)))) is False
 
     def test_monotone_under_extra_summands(self):
         rng = random.Random(9)

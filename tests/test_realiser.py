@@ -59,6 +59,8 @@ class TestSpecs:
 
     def test_interval_validation(self):
         with pytest.raises(InvalidSpec):
+            ArithIntervals(())
+        with pytest.raises(InvalidSpec):
             ArithIntervals(((3, 1),))
         with pytest.raises(InvalidSpec):
             ArithIntervals(((0, 2), (2, 4)))  # overlap at 2

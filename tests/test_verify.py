@@ -34,6 +34,7 @@ from degreecalc.verify import (
     _recheck_entry,
     check_certificate,
     interval_union,
+    oracle_set,
 )
 
 from conftest import random_expr
@@ -120,6 +121,10 @@ class TestBruteSumset:
             brute_sumset((0,), (1,), (1,))
         with pytest.raises(ValueError):
             brute_sumset((1, 2), (1,), (1, 1))
+        with pytest.raises(ValueError, match="at least one term"):
+            brute_sumset((), (), ())
+        with pytest.raises(ValueError, match="multiplicities"):
+            brute_sumset((1,), (1,), (-1,))
 
 
 class Enumerated(Exception):
@@ -169,6 +174,10 @@ class TestBruteSubsetProducts:
             rng.shuffle(shuffled)
             assert brute_subset_products(shuffled) == got
 
+    def test_values_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            brute_subset_products((2, 0))
+
     def test_length_cap(self):
         with pytest.raises(EnumerationTooLarge):
             brute_subset_products((2,) * 26)
@@ -178,6 +187,10 @@ class TestHelpers:
     def test_subset_sums(self):
         assert brute_subset_sums((-2, 3)) == fin([-2, 0, 1, 3])
         assert brute_subset_sums(()) == fin([0])
+
+    def test_no_oracle_for_an_unknown_spec(self):
+        with pytest.raises(TypeError):
+            oracle_set(object())
 
     def test_interval_union(self):
         assert interval_union(((-2, -1), (1, 2))) == fin([-2, -1, 1, 2])
@@ -434,6 +447,29 @@ class TestCheckCertificate:
             f"derivation step {step + 1} is {entry['rule']}, not the calculator's trace for (M, N)",
         )
 
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("sumset", {"base_genus": 1}, "base genus 1 is not hyperbolic"),
+            ("geometric", {"q": [5]}, "one prime per block is required"),
+            ("geometric", {"q": [7, 5]}, "q values [7, 5] are not strictly ascending"),
+            ("sumset", {"d_prime": None}, "params missing 'd_prime'"),
+        ],
+        ids=["base_genus_1", "one_prime_for_two_blocks", "descending_primes", "missing_key"],
+    )
+    def test_inadmissible_or_missing_params_are_named(self, kind, edit, message):
+        cert = PARAMS_CERTS[kind]
+        params = {k: v for k, v in {**cert.params, **edit}.items() if v is not None}
+        report = check_certificate(dataclasses.replace(cert, params=params))
+        assert message in report.mismatches, report.mismatches
+
+    def test_spec_that_skipped_validation_is_rejected_by_the_oracle(self):
+        spec = object.__new__(SumsetFamily)
+        for field, value in (("d", (1, 3)), ("n", (0, -2)), ("nprime", (0, 1))):
+            object.__setattr__(spec, field, value)
+        report = check_certificate(dataclasses.replace(PARAMS_CERTS["sumset"], spec=spec))
+        assert "oracle rejected the spec: multiplicities must be >= 0" in report.mismatches
+
     def test_source_summands_must_match_family(self):
         cert = realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1)))
         bad = dataclasses.replace(cert, m=conn_sum(CircleBundle(2, 1), CircleBundle(2, 3)))
@@ -563,6 +599,30 @@ class TestRecheck:
                 "produced {0, 2}, closed form gives {0, 3}",
             ),
             (
+                RuleApplication("circle_bundle_pair", (K(2, 2), K(3, 6)), fin([0, 3])),
+                "step circle_bundle_pair on (K(2;2), K(3;6)): bundles over different bases",
+            ),
+            (
+                RuleApplication("circle_bundle_pair", (K(2, 0), K(2, 6)), fin([0])),
+                "step circle_bundle_pair on (K(2;0), K(2;6)): "
+                "source Euler number 0 has no closed form",
+            ),
+            (
+                RuleApplication(
+                    "fiberwise_covering_lift",
+                    (conn_sum(K(2, 2), K(2, 2)), conn_sum(K(2, 3), K(2, 5))),
+                    fin([2]),
+                    (
+                        ("degree", 2),
+                        ("target_bundle", K(2, 4)),
+                        ("cover_bundle", K(2, 2)),
+                        ("copies_of_remaining_summands", 2),
+                    ),
+                ),
+                "step fiberwise_covering_lift on (K(2;2) # K(2;2), K(2;3) # K(2;5)): "
+                "covered bundle is not a summand of the target",
+            ),
+            (
                 RuleApplication(
                     "pinch_to_submanifold",
                     (conn_sum(K(2, 3), K(2, 4)), conn_sum(K(2, 3), K(2, 5))),
@@ -659,6 +719,9 @@ class TestRecheck:
         ],
         ids=[
             "bundle_closed_form",
+            "bundle_bases_differ",
+            "bundle_euler_zero",
+            "covering_target_not_a_summand",
             "pinch",
             "covering_degree",
             "chain_non_kill",
