@@ -18,9 +18,12 @@ and kept on it; every later :func:`print_expr` of that object returns it.
 
 A text in :func:`print_expr`'s layout without parentheses (atoms joined by
 ``" # "`` into terms, terms joined by ``" x "``), such as a certificate's M and
-N, is parsed by splitting it there, and each distinct atom text is parsed once.
-Every other text, and any text on which that path fails, goes through the
-tokenizer, which raises the errors documented here.
+N, is parsed by splitting it there.  Each term text of at most 4,096
+characters that parses is kept with its expression in a bounded memo, which
+``engine.clear_cache()`` empties, and each distinct atom text of a term not
+in it is parsed once per call.  Every other text, and any text on which that
+path fails, goes through the tokenizer, which raises the errors documented
+here.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ def parse_expr(text: str) -> ManifoldExpr:
     if type(text) is str:
         try:
             expr = _parse_canonical(text)
-        except (MalformedExpr, ParseError):
+        except MalformedExpr:
             expr = None
         if expr is not None:
             return expr
@@ -189,25 +192,49 @@ def parse_expr(text: str) -> ManifoldExpr:
 # which reports one too long for int() with its column.
 _ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
 
+# The expression of each term text the canonical path has parsed.  Bounded and
+# cleared whole, like the engine's pair cache, and emptied with it by
+# engine.clear_cache().  A longer term text is parsed on every call, so that
+# the memo never holds more than _TERMS_MAX * _TERM_TEXT_MAX characters.
+_TERMS: dict[str, ManifoldExpr] = {}
+_TERMS_MAX = 4096
+_TERM_TEXT_MAX = 4096
+
 
 def _parse_canonical(text: str) -> ManifoldExpr | None:
     """The expression of a text in print_expr's layout without parentheses,
-    each distinct atom text parsed once; None if the text is not in it."""
+    each term text parsed once while it is in the term memo and each distinct
+    atom text once per call; None if the text is not in that layout."""
     atoms: dict[str, ManifoldExpr] = {}
     factors: list[ManifoldExpr] = []
     for term in text.split(" x "):
-        pieces = term.split(" # ")
-        counts: dict[ManifoldExpr, int] = {}
-        for piece, k in Counter(pieces).items():
-            atom = atoms.get(piece)
-            if atom is None:
-                if not _ATOM_RE.fullmatch(piece):
-                    return None
-                atom = atoms[piece] = _Parser(_tokenize(piece)).parse_atom()
-            # "K(2;1)" and "K(2;01)" are one atom: count per atom, not per text
-            counts[atom] = counts.get(atom, 0) + k
-        factors.append(atom if len(pieces) == 1 else ConnSum(counts))
+        expr = _TERMS.get(term)
+        if expr is None:
+            expr = _parse_term(term, atoms)
+            if expr is None:
+                return None
+            if len(term) <= _TERM_TEXT_MAX:
+                if len(_TERMS) >= _TERMS_MAX:
+                    _TERMS.clear()
+                _TERMS[term] = expr
+        factors.append(expr)
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
+
+
+def _parse_term(term: str, atoms: dict[str, ManifoldExpr]) -> ManifoldExpr | None:
+    """The expression of one term text, its atoms looked up in and added to
+    ``atoms``; None if a piece is not an atom as print_expr writes it."""
+    pieces = term.split(" # ")
+    counts: dict[ManifoldExpr, int] = {}
+    for piece, k in Counter(pieces).items():
+        atom = atoms.get(piece)
+        if atom is None:
+            if not _ATOM_RE.fullmatch(piece):
+                return None
+            atom = atoms[piece] = _Parser(_tokenize(piece)).parse_atom()
+        # "K(2;1)" and "K(2;01)" are one atom: count per atom, not per text
+        counts[atom] = counts.get(atom, 0) + k
+    return atom if len(pieces) == 1 else ConnSum(counts)
 
 
 def _parse_tokens(text: str) -> ManifoldExpr:

@@ -25,7 +25,7 @@ from itertools import chain, permutations
 from typing import Iterator, Optional
 
 from . import intset
-from .dsl import print_expr
+from .dsl import _TERMS, print_expr
 from .intset import ALL_INTEGERS, ZERO_ONLY, DegreeSet, UnrepresentableSet
 from .manifold import (
     Circle,
@@ -78,15 +78,30 @@ class RuleApplication:
 
     A step is immutable: a frozen dataclass whose details are tuples of
     expressions, DegreeSets, strings, ints and bools, as every rule here builds
-    them.  The certificate writer relies on that to keep a step's written text
-    on the step (``realiser._step_text``); a step must not be changed after it
-    is built.
+    them.  Steps are shared between traces through the cache, so what is
+    computed from a step is kept on it: its hash, its written text
+    (``realiser._step_text``) and its recheck verdict
+    (``verify.check_certificate``).  A step must not be changed after it is
+    built.
     """
 
     rule: str
     inputs: tuple[ManifoldExpr, ...]
     produced: DegreeSet
     details: tuple[tuple[str, object], ...] = ()
+
+    def __hash__(self) -> int:
+        # the dataclass's own hash, computed once: every level of a trace
+        # dedups its children's steps, and a deep hash walks every input
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rule, self.inputs, self.produced, self.details))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a string's hash differs between processes: a copy computes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def detail(self, key: str, default: object = None) -> object:
         for k, v in self.details:
@@ -129,10 +144,16 @@ def _make_bound(
 _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
 _CACHE_MAX = 4096
 _SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
+# The memos other modules keep, each bounded and cleared whole like the cache:
+# dsl's parsed terms, and the realiser's geometric blocks, which it adds.
+_MEMOS: list[dict] = [_TERMS]
 
 
 def clear_cache() -> None:
+    """Empty the pair cache and every memo in ``_MEMOS``."""
     _CACHE.clear()
+    for memo in _MEMOS:
+        memo.clear()
 
 
 def degree_bounds(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:

@@ -284,13 +284,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The block pair of each (d, q, genus) built so far.  Bounded and cleared whole
+# like the engine's pair cache, and emptied with it by engine.clear_cache().
+_BLOCKS: dict[tuple[int, int, int], tuple[ManifoldExpr, ManifoldExpr]] = {}
+engine._MEMOS.append(_BLOCKS)
+
+
 def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
     """The block pair (Q, P) for value d and prime q: Q = d K(g;q) # K(g;d) #
     K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1
-    and a certificate under check may record any integer q."""
-    source = Counter({q: d})
-    source.update((d, d * d))
-    return _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
+    and a certificate under check may record any integer q.  Built once while
+    in the block memo, so the realiser and the checker share the blocks, and
+    with them each block's kept text and equality by identity."""
+    key = (d, q, genus)
+    blocks = _BLOCKS.get(key)
+    if blocks is None:
+        source = Counter({q: d})
+        source.update((d, d * d))
+        blocks = _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
+        if len(_BLOCKS) >= engine._CACHE_MAX:
+            _BLOCKS.clear()
+        _BLOCKS[key] = blocks
+    return blocks
 
 
 def _block_values(spec: Geometric) -> list[int]:

@@ -338,7 +338,15 @@ def check_certificate(cert: Certificate) -> Report:
             f"derivation step {step} is {rule}, not the calculator's trace for (M, N)"
         )
     for entry in engine_bound.trace:
-        _recheck_entry(entry, mismatches)
+        # a step's recheck depends on the step alone, and steps are immutable
+        # and shared between traces: keep its problems on it, as its text is
+        problems = getattr(entry, "_problems", None)
+        if problems is None:
+            found: list[str] = []
+            _recheck_entry(entry, found)
+            problems = tuple(found)
+            object.__setattr__(entry, "_problems", problems)
+        mismatches.extend(problems)
     _check_params(cert, mismatches)
 
     return Report(

@@ -34,17 +34,21 @@ from conftest import random_expr, random_factor_pairs
 from test_acceptance import _interval_sweep
 
 DIGESTS = Path(__file__).parent / "data" / "digests.json"
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def product_pairs() -> list:
+    """400 seeded random products of 2-5 bundle-sum factors, each paired with
+    a product of as many."""
+    rng = random.Random(12)
+    return [tuple(product(*side) for side in zip(*random_factor_pairs(rng))) for _ in range(400)]
 
 
 def product_pairs_digest() -> str:
-    """SHA-256 over the JSON bounds of 400 seeded random products of 2-5
-    bundle-sum factors against products of as many."""
-    rng = random.Random(12)
+    """SHA-256 over the JSON bounds of the :func:`product_pairs`."""
     digest = hashlib.sha256()
-    for _ in range(400):
-        sources, targets = zip(*random_factor_pairs(rng))
-        bound = degree_bounds(product(*sources), product(*targets))
-        digest.update(json.dumps(bound_to_jsonable(bound)).encode())
+    for m, n in product_pairs():
+        digest.update(json.dumps(bound_to_jsonable(degree_bounds(m, n))).encode())
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -228,6 +232,16 @@ def test_target_sums_digest():
 
 def test_sum_kernel_digest():
     assert sum_kernel_digest() == recorded("sum_kernel")
+
+
+def test_kept_step_hashes_are_the_dataclass_hashes():
+    pairs = product_pairs() + target_sum_pairs()
+    for path in sorted(GOLDEN.glob("*.json")):
+        cert = certificate_from_json(path.read_text(encoding="utf-8"))
+        pairs.append((cert.m, cert.n))
+    steps = {id(s): s for m, n in pairs for s in degree_bounds(m, n).trace}
+    for s in steps.values():
+        assert hash(s) == s._hash == hash((s.rule, s.inputs, s.produced, s.details)), s
 
 
 def test_sumset_certificates_decode_to_their_own_text():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from degreecalc import dsl
+from degreecalc import dsl, engine
 from degreecalc.dsl import MAX_NESTING, ParseError, SemanticError, parse_expr, print_expr
 from degreecalc.manifold import (
     CIRCLE,
@@ -264,9 +264,42 @@ class TestCanonicalPath:
         assert parse_expr("K(2;1) # K(2;1) # K(2;-0) # K(2;0)") == ConnSum({K(2, 1): 2, K(2, 0): 2})
 
     def test_each_distinct_atom_text_is_tokenized_once(self, monkeypatch):
+        engine.clear_cache()
         texts = []
         real = dsl._tokenize
         monkeypatch.setattr(dsl, "_tokenize", lambda t: texts.append(t) or real(t))
         expr = parse_expr(" # ".join(["K(2;5)"] * 50 + ["K(2;7)"] * 30) + " x S1")
         assert sorted(texts) == ["K(2;5)", "K(2;7)", "S1"]
         assert expr == Product((ConnSum({K(2, 5): 50, K(2, 7): 30}), CIRCLE))
+
+    def test_second_parse_of_a_text_tokenizes_nothing(self, monkeypatch):
+        engine.clear_cache()
+        text = "K(2;3) # K(2;3) # K(2;9) x K(2;3) # K(2;9) x S1"
+        first = parse_expr(text)
+        assert first == dsl._parse_tokens(text)
+        texts = []
+        real = dsl._tokenize
+        monkeypatch.setattr(dsl, "_tokenize", lambda t: texts.append(t) or real(t))
+        assert parse_expr(text) == first
+        assert texts == []
+
+    @pytest.mark.parametrize("text", ["S(2) # K(2;1)", "K(1;2)", "S1 # S1", "K(2;1) x S(2) # K(2;1)"])
+    def test_rejected_text_raises_the_same_error_again(self, text):
+        engine.clear_cache()
+        first = _outcome(parse_expr, text)
+        assert first == _outcome(parse_expr, text) == _outcome(dsl._parse_tokens, text)
+        assert first[0] is SemanticError
+
+    def test_every_atom_the_canonical_pattern_accepts_tokenizes_and_parses(self):
+        # so that _parse_canonical raises MalformedExpr at most, never ParseError
+        ints = ["0", "7", "9" * 17, "9" * 18, "0" * 18, "1" + "0" * 17]
+        atoms = [f"S({a})" for a in ints] + ["S1"]
+        atoms += [f"K({a};{s}{b})" for a in ints for b in ints for s in ("", "-")]
+        for text in atoms:
+            assert dsl._ATOM_RE.fullmatch(text), text
+            try:
+                dsl._Parser(dsl._tokenize(text)).parse_atom()
+            except MalformedExpr:  # a base genus below 2
+                assert text.startswith("K(") and int(text[2:].split(";")[0]) < 2
+        for text in ["S(" + "9" * 19 + ")", "K(2;-" + "1" * 19 + ")", "K(" + "2" * 19 + ";1)"]:
+            assert not dsl._ATOM_RE.fullmatch(text)

@@ -1,7 +1,12 @@
 """The degree-set calculator: closed forms, sums, pinches, coverings, products."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +17,7 @@ from degreecalc.dsl import parse_expr
 from degreecalc.engine import (
     DimensionMismatch,
     NotDecided,
+    RuleApplication,
     degree_bounds,
     degree_set_exact,
 )
@@ -585,3 +591,27 @@ class TestInvariants:
     def test_exact_requires_meeting_bounds(self):
         bound = degree_bounds(K(2, 0), K(2, 5))
         assert bound.exact == (bound.upper is not None and bound.lower == bound.upper)
+
+
+def test_a_step_copied_into_another_process_hashes_as_it_does_there(tmp_path):
+    # a string's hash differs between processes, so a kept hash must not travel
+    step = RuleApplication(
+        "circle_bundle_pair", (K(2, 2), K(2, 6)), DegreeSet.finite((0, 3)), (("quotient", 3),)
+    )
+    hash(step)
+    path = tmp_path / "step.pickle"
+    path.write_bytes(pickle.dumps(step))
+    code = (
+        "import pickle, sys; s = pickle.loads(open(sys.argv[1], 'rb').read()); "
+        "print(hash(s) == hash((s.rule, s.inputs, s.produced, s.details)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout.strip() == "True", result.stderr

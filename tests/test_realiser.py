@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import dsl, engine
+from degreecalc import dsl, engine, realiser
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
@@ -454,6 +454,20 @@ def test_shared_steps_are_written_once(monkeypatch):
     assert viewed and not any(isinstance(v, RuleApplication) for v in viewed)
     monkeypatch.undo()
     assert text == json.dumps(certificate_to_jsonable(second), indent=2)
+
+
+def test_pass_memos_are_bounded_and_emptied_with_the_cache():
+    engine.clear_cache()
+    for i in range(5000):
+        parse_expr(f"K(2;{i}) # K(2;1) x S1")
+        _geometric_blocks(2, i, 2)
+        assert len(dsl._TERMS) <= 4096 and len(realiser._BLOCKS) <= 4096
+    assert dsl._TERMS and realiser._BLOCKS
+    engine.clear_cache()
+    assert not dsl._TERMS and not realiser._BLOCKS
+    long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
+    assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
+    assert not dsl._TERMS
 
 
 def test_certificate_texts_parse_as_the_tokenizer_parses_them():

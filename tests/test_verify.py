@@ -574,6 +574,34 @@ class TestRecheck:
         )
         assert self._chain_mismatches(d)
 
+    @pytest.mark.parametrize("d", [(1, 2, 4, 4, 8), (1, 1, 3, 3, 13)], ids=str)
+    def test_kept_verdicts_pass_no_wrong_step_after_a_clear(self, monkeypatch, cold_cache, d):
+        assert self._chain_mismatches(d) == []  # keeps an empty verdict on every step
+        engine.clear_cache()
+        monkeypatch.setattr(
+            engine, "_kill_summand", lambda source, target: engine._bundle_summands(target)[0]
+        )
+        assert self._chain_mismatches(d)
+
+    def test_broken_step_is_reported_again_on_a_second_check(self, monkeypatch):
+        entry = RuleApplication("circle_bundle_pair", (K(2, 2), K(2, 6)), fin([0, 2]))
+        message = (
+            "step circle_bundle_pair on (K(2;2), K(2;6)): "
+            "produced {0, 2}, closed form gives {0, 3}"
+        )
+        cert = PARAMS_CERTS["geometric"]
+        bound = engine.SetBound(cert.target, cert.target, (*cert.derivation, entry))
+        monkeypatch.setattr(verify, "degree_bounds", lambda m, n: bound)
+        rechecked = []
+        recheck = verify._recheck_entry
+        monkeypatch.setattr(
+            verify, "_recheck_entry", lambda e, problems: rechecked.append(e) or recheck(e, problems)
+        )
+        first, second = check_certificate(cert), check_certificate(cert)
+        assert message in first.mismatches
+        assert second.mismatches == first.mismatches
+        assert rechecked.count(entry) == 1
+
     def test_chain_without_kills_is_caught(self, monkeypatch, cold_cache):
         monkeypatch.setattr(engine, "_chain_search", lambda pairs: (list(range(len(pairs))), []))
         assert self._chain_mismatches((2, 3, 5))
