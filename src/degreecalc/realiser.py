@@ -25,8 +25,12 @@ and calculus agree.  Every held value is written as its
 steps are immutable and shared between certificates through the engine cache,
 so a step's written text is kept on the step the first time it is written and
 reused on every later write.  A decoded certificate keeps its derivation as
-that JSON list of steps, which the checker compares with a fresh trace by
-:func:`_same`, serialising neither.
+that JSON list of steps, and :func:`certificate_from_json` also keeps the text
+it decoded.  The checker takes the derivation to be a fresh trace when that
+text is the one :func:`json_text` writes for the certificate with the trace as
+its derivation (:func:`_written_with`): one string comparison, with the step
+texts kept.  Only otherwise does it compare the two by :func:`_same`, walking
+the decoded steps.
 """
 
 from __future__ import annotations
@@ -124,6 +128,16 @@ RealisationSpec = SumsetFamily | ArithIntervals | SubsetSums | Geometric
 
 @dataclass(frozen=True)
 class Certificate:
+    """A realisation and the evidence for it.
+
+    A certificate decoded by :func:`certificate_from_json` keeps the text it
+    was decoded from.  The text is not a field: it takes no part in equality
+    or repr, and :func:`dataclasses.replace` and :func:`certificate_from_jsonable`
+    give certificates without one.  The checker trusts the text to be what the
+    fields were decoded from, so a decoded certificate must not be changed in
+    place, as a trace step must not be.
+    """
+
     spec: RealisationSpec
     target: DegreeSet
     m: ManifoldExpr
@@ -412,6 +426,24 @@ def _same(a: object, b: object) -> bool:
     return a == b
 
 
+# The whitespace JSON allows around a value.
+_JSON_SPACE = " \t\n\r"
+
+
+def _written_with(cert: Certificate, derivation: tuple[RuleApplication, ...]) -> bool:
+    """Whether ``cert`` was decoded from the text :func:`json_text` writes for
+    it with ``derivation`` as its derivation, up to whitespace at both ends.
+    Equal texts decode to equal values, in type too at every level, so the
+    decoded derivation is then ``derivation`` as :func:`_same` has it.  The
+    steps' texts are kept, so this walks no step."""
+    text = getattr(cert, "_text", None)
+    if text is None:
+        return False
+    layout = _layout(cert)
+    layout["derivation"] = derivation
+    return text == json_text(layout)
+
+
 def _layout(cert: Certificate) -> dict:
     """The certificate's JSON object, shallow: the keys in their written
     order, with the target still a DegreeSet, M and N expressions and the
@@ -543,8 +575,13 @@ def certificate_from_jsonable(obj: object) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Decode a certificate from its JSON text, and keep that text on it for
+    :func:`_written_with` (see :class:`Certificate`)."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
-    return certificate_from_jsonable(obj)
+    cert = certificate_from_jsonable(obj)
+    if isinstance(text, str):  # json.loads also takes bytes
+        object.__setattr__(cert, "_text", text.strip(_JSON_SPACE))
+    return cert

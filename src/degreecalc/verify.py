@@ -11,10 +11,15 @@ explicit error, never a silent truncation.
 calculator reproduces its target from (M, N), (b) the family oracle
 reproduces its target from the spec, and (c) the recorded derivation equals
 the calculator's trace for (M, N) step for step, in type too, and its steps
-re-validate by closed forms that never call the calculator: the Euler-number
-quotient for bundle pairs, summand containment for pinches and covering
-lifts, and for product steps the domination form (every later target
-factor has a bundle summand with non-zero Euler number) and the kill form
+re-validate.  The derivation is the trace when it is the trace object
+itself, or when the certificate was decoded from the text the writer gives
+it with that trace as its derivation (one string comparison,
+``realiser._written_with``); only otherwise are the decoded steps walked
+and compared with the trace by ``realiser._same``.  The steps re-validate by
+closed forms that never call the calculator: the Euler-number quotient for
+bundle pairs, summand containment for pinches and covering lifts, and for
+product steps the domination form (every later target factor has a bundle
+summand with non-zero Euler number) and the kill form
 (each earlier source factor has a recorded kill summand in each later target
 factor, to which every summand of that source, a bundle over the same base
 with non-zero Euler number, maps with closed form {0}).  The
@@ -56,6 +61,7 @@ from .realiser import (
     _is_prime,
     _same,
     _sumset_construction,
+    _written_with,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -328,16 +334,19 @@ def check_certificate(cert: Certificate) -> Report:
     except ValueError as exc:
         mismatches.append(f"oracle rejected the spec: {exc}")
 
+    trace = engine_bound.trace
     if not cert.derivation:
         mismatches.append("derivation is empty")
-    elif not _same(cert.derivation, engine_bound.trace):
-        pairs = enumerate(zip_longest(cert.derivation, engine_bound.trace), 1)
+    elif not (
+        cert.derivation is trace or _written_with(cert, trace) or _same(cert.derivation, trace)
+    ):
+        pairs = enumerate(zip_longest(cert.derivation, trace), 1)
         step, got = next((i, got) for i, (got, want) in pairs if not _same(got, want))
         rule = "missing" if got is None else engine.json_view(got).get("rule")
         mismatches.append(
             f"derivation step {step} is {rule}, not the calculator's trace for (M, N)"
         )
-    for entry in engine_bound.trace:
+    for entry in trace:
         # a step's recheck depends on the step alone, and steps are immutable
         # and shared between traces: keep its problems on it, as its text is
         problems = getattr(entry, "_problems", None)

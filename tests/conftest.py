@@ -1,9 +1,14 @@
-"""Shared helpers: a seeded generator of random well-formed expressions."""
+"""Shared helpers: a seeded generator of random well-formed expressions, and
+checks of a decoded certificate with and without its written-text path."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
+from degreecalc import realiser, verify
+from degreecalc.engine import RuleApplication
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
@@ -67,3 +72,50 @@ def random_factor_pairs(rng: random.Random) -> list[tuple[ManifoldExpr, Manifold
 
 def _random_bundle_sum(rng: random.Random) -> ManifoldExpr:
     return conn_sum(*(CircleBundle(2, rng.choice(FACTOR_EULERS)) for _ in range(rng.randint(1, 3))))
+
+
+def force_walk(monkeypatch) -> None:
+    """Turn the checker's written-text path off, so that a decoded derivation
+    is always walked by ``realiser._same``."""
+    monkeypatch.setattr(verify, "_written_with", lambda cert, derivation: False)
+
+
+def check_walked(cert) -> verify.Report:
+    """``check_certificate`` with the written-text path off."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_walk(mp)
+        return verify.check_certificate(cert)
+
+
+def report_key(report: verify.Report) -> tuple:
+    return report.ok, report.mismatches, report.engine_bound
+
+
+@pytest.fixture
+def check_both_ways(request, monkeypatch):
+    """Make the requesting module's ``check_certificate`` check every decoded
+    certificate a second time with the text path forced off, and require the
+    same report both ways."""
+
+    def check(cert):
+        report = verify.check_certificate(cert)
+        if getattr(cert, "_text", None) is not None:
+            assert report_key(check_walked(cert)) == report_key(report)
+        return report
+
+    monkeypatch.setattr(request.module, "check_certificate", check)
+
+
+def count_step_comparisons(monkeypatch) -> list:
+    """A list that grows at each ``realiser._same`` call on a trace step."""
+    calls = []
+    same = realiser._same
+
+    def counting(a, b):
+        if type(a) is RuleApplication or type(b) is RuleApplication:
+            calls.append((a, b))
+        return same(a, b)
+
+    monkeypatch.setattr(realiser, "_same", counting)
+    monkeypatch.setattr(verify, "_same", counting)
+    return calls

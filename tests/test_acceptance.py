@@ -13,6 +13,8 @@ from contextlib import contextmanager
 
 import dataclasses
 
+import pytest
+
 from degreecalc import engine
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import degree_bounds, degree_set_exact
@@ -34,6 +36,9 @@ from degreecalc.verify import (
     check_certificate,
     interval_union,
 )
+
+# every decoded certificate checked here is checked with and without its text
+pytestmark = pytest.mark.usefixtures("check_both_ways")
 
 fin = DegreeSet.finite
 

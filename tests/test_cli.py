@@ -20,6 +20,8 @@ from degreecalc.cli import main
 from degreecalc.realiser import certificate_from_json
 from degreecalc.verify import check_certificate
 
+from conftest import count_step_comparisons, force_walk
+
 
 # The first nine primes, and K(2;1) against K(2;0).  K(2;0) is not free of
 # product domination, so its pair must come first, and then no prime target
@@ -314,6 +316,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--json")
         assert code == 0
         assert out == json.dumps(report.to_jsonable(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+    def test_json_report_of_a_golden_compares_no_step(self, capsys, monkeypatch, name):
+        path = GOLDEN / f"{name}.json"
+        calls = count_step_comparisons(monkeypatch)
+        written = run(capsys, "verify", str(path), "--json")
+        assert (written[0], calls) == (0, [])
+        force_walk(monkeypatch)
+        assert run(capsys, "verify", str(path), "--json") == written
+        assert calls
+
+    def test_written_certificate_compares_no_step(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "cert.json"
+        run(capsys, "realize", "geom", "--values", "2,3,5", "--out", str(out_path))
+        assert out_path.read_text(encoding="utf-8").endswith("}\n")
+        calls = count_step_comparisons(monkeypatch)
+        code, out, _ = run(capsys, "verify", str(out_path))
+        assert (code, calls) == (0, [])
+        assert out.startswith("certificate check: OK")
 
     def test_integer_too_long_to_convert_is_usage_error(self, capsys, tmp_path):
         payload = json.loads((GOLDEN / "geometric_2_3.json").read_text(encoding="utf-8"))

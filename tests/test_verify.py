@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import random
 import time
 from pathlib import Path
@@ -37,7 +38,11 @@ from degreecalc.verify import (
     oracle_set,
 )
 
-from conftest import random_expr
+from conftest import check_walked, count_step_comparisons, random_expr, report_key
+from test_digests import sumset_certificates
+
+# every decoded certificate checked here is checked with and without its text
+pytestmark = pytest.mark.usefixtures("check_both_ways")
 
 fin = DegreeSet.finite
 
@@ -784,3 +789,103 @@ def test_emitted_rule_names_are_exported():
         if dimension(m) == dimension(n):
             names |= _rule_names(engine.degree_bounds(m, n).trace)
     assert names <= engine.RULE_NAMES, names - engine.RULE_NAMES
+
+
+GOLDEN_NAMES = sorted(p.stem for p in GOLDEN.glob("*.json"))
+
+
+def _golden_text(name):
+    return (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+class TestWrittenText:
+    """A decoded certificate whose text is the writer's text with the fresh
+    trace is taken without walking its derivation; every other one is walked
+    by ``_same`` as before, and both ways give the same report."""
+
+    def test_text_path_gives_the_walks_report(self):
+        texts = [_golden_text(name) for name in GOLDEN_NAMES]
+        # 200 requests of the benchmark's geometric_roundtrip shape
+        rng = random.Random(201)
+        for _ in range(200):
+            values = sorted(rng.randint(1, 13) for _ in range(rng.randint(1, 6)))
+            texts.append(certificate_to_json(realise_geometric(Geometric(tuple(values)))))
+        texts += sumset_certificates()  # the criterion-4 sample among them
+        for text in texts:
+            cert = certificate_from_json(text)
+            report = verify.check_certificate(cert)
+            assert realiser._written_with(cert, report.engine_bound.trace)
+            assert report.ok, report.mismatches
+            assert report_key(check_walked(cert)) == report_key(report)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda payload: json.dumps(payload),
+            lambda payload: json.dumps(payload, indent=4),
+            lambda payload: json.dumps(
+                {
+                    **dict(reversed(payload.items())),
+                    "derivation": [dict(reversed(s.items())) for s in payload["derivation"]],
+                },
+                indent=2,
+            ),
+            lambda payload: json.dumps(payload, indent=2).replace(
+                '{\n  "spec"', '{\n  "derivation": [],\n  "spec"', 1
+            ),
+        ],
+        ids=["compact", "indent_4", "reordered_keys", "duplicate_derivation"],
+    )
+    @pytest.mark.parametrize("name", ["geometric_2_3", "intervals"])
+    def test_rewritten_certificate_is_walked(self, monkeypatch, form, name):
+        text = _golden_text(name)
+        written = verify.check_certificate(certificate_from_json(text))
+        cert = certificate_from_json(form(json.loads(text)))
+        assert realiser._written_with(cert, written.engine_bound.trace) is False
+        calls = count_step_comparisons(monkeypatch)
+        report = verify.check_certificate(cert)
+        assert calls
+        assert report_key(report) == report_key(written)
+
+    def test_forged_last_derivation_key_is_walked_and_rejected(self):
+        text = _golden_text("geometric_2_3")
+        forged = json.loads(_golden_text("geometric_3_3"))["derivation"]
+        cert = certificate_from_json(text[: text.rindex("}")] + f',"derivation": {json.dumps(forged)}}}')
+        assert cert.derivation == forged
+        report = verify.check_certificate(cert)
+        assert report_key(check_walked(cert)) == report_key(report)
+        assert any(m.startswith("derivation step 1 is ") for m in report.mismatches), report.mismatches
+
+    def test_kept_text_is_not_part_of_the_value(self):
+        text = _golden_text("geometric_2_3")
+        cert = certificate_from_json(text)
+        plain = realiser.certificate_from_jsonable(json.loads(text))
+        assert cert._text == text.strip()
+        assert not hasattr(plain, "_text")
+        assert not hasattr(certificate_from_json(text.encode()), "_text")
+        assert cert == plain and repr(cert) == repr(plain)
+
+    def test_replaced_derivation_is_walked(self):
+        cert = certificate_from_json(_golden_text("geometric_2_3"))
+        steps = cert.derivation
+        for other, message in [
+            (steps[:-1], f"derivation step {len(steps)} is missing"),
+            (certificate_from_json(_golden_text("geometric_3_3")).derivation, "derivation step 1 is "),
+        ]:
+            bad = dataclasses.replace(cert, derivation=other)
+            report = verify.check_certificate(bad)
+            assert not report.ok
+            assert any(m.startswith(message) for m in report.mismatches), report.mismatches
+            assert not hasattr(bad, "_text")
+
+    @pytest.mark.parametrize("name", ["geometric_2_3", "subset_sums"])
+    def test_unpickled_certificate_gets_the_same_report(self, name):
+        payload = json.loads(_golden_text(name))
+        payload["target"]["elements"].append(10**6)
+        for text in (_golden_text(name), json.dumps(payload, indent=2)):
+            cert = certificate_from_json(text)
+            again = pickle.loads(pickle.dumps(cert))
+            assert again == cert
+            assert report_key(verify.check_certificate(again)) == report_key(
+                verify.check_certificate(cert)
+            )
