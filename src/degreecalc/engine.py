@@ -145,7 +145,8 @@ _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
 _CACHE_MAX = 4096
 _SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
 # The memos other modules keep, each bounded and cleared whole like the cache:
-# dsl's parsed terms, and the realiser's geometric blocks, which it adds.
+# dsl's parsed terms, and the realiser's geometric blocks and sumset
+# constructions, which it adds.
 _MEMOS: list[dict] = [_TERMS]
 
 

@@ -14,8 +14,10 @@ the denser mask once for each element of the sparser one.  A part that is an
 arithmetic progression {0, h, ..., t}, such as a two-element set or an
 interval, is added with all its copies at once: n copies make the progression
 {0, h, ..., n * t}, which doubling shift-ORs add to the running mask in
-O(log(n * t / h)) steps.  Sets whose span is large compared with their size
-stay element tuples and add pairwise, so a mask never grows far beyond the
+O(log(n * t / h)) steps.  A sum whose span is below :data:`_MASK_BITS` is
+always a shift-OR of masks: a mask that small costs little whatever its
+density.  Above that, sets whose span is large compared with their size stay
+element tuples and add pairwise, so a mask never grows far beyond the
 pairwise work it replaces.
 :func:`naive_sumset` keeps the plain pairwise sum as the reference that tests
 compare the kernel against.
@@ -95,10 +97,13 @@ class DegreeSet:
 
     @classmethod
     def finite(cls, values: Iterable[int]) -> DegreeSet:
-        values = tuple(values)  # typed before set() merges 1 with True or 2 with 2.0
+        if type(values) is not set:  # a set is typed as it is, without copies
+            values = tuple(values)  # typed before set() merges 1 with True or 2 with 2.0
         if values and set(map(type, values)) != {int}:
             raise TypeError("set elements must be integers")
-        elements = tuple(sorted(set(values)))  # sorted and distinct: range-check the ends
+        if type(values) is not set:
+            values = set(values)
+        elements = tuple(sorted(values))  # sorted and distinct: range-check the ends
         if elements and (elements[0] < INT64_MIN or elements[-1] > INT64_MAX):
             _check_element(elements[0])
             _check_element(elements[-1])
@@ -173,13 +178,22 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
         return EMPTY
     if any(p is None for p, _ in parts):
         return ALL_INTEGERS
-    lo = _check_element(sum(n * p[0] for p, n in parts))
-    _check_element(sum(n * p[-1] for p, n in parts))
     # Every part is p[0] + step * r with r >= 0: the common step scales the
     # whole sum, and r = {0, h, ..., t} with h = gcd(r) is a progression.
-    step = gcd(*(x - p[0] for p, _ in parts for x in p)) or 1
+    lo = hi = step = 0
+    for p, n in parts:
+        first = p[0]
+        lo += n * first
+        hi += n * p[-1]
+        step = gcd(step, *[x - first for x in p])
+    _check_element(lo)
+    _check_element(hi)
+    step = step or 1
     acc: _Shape = 1  # the mask of {0}; a one-element part only moves lo
     for p, n in parts:
+        if len(p) == 2:  # {0, h}: a progression, without building r
+            acc = _progression(acc, (p[1] - p[0]) // step, n)
+            continue
         if len(p) == 1:
             continue
         r = tuple((x - p[0]) // step for x in p)
@@ -242,14 +256,21 @@ def _top(v: _Shape) -> int:
     return v.bit_length() - 1 if isinstance(v, int) else v[-1]
 
 
-def _add(a: _Shape, b: _Shape) -> _Shape:
-    """a + b, as a mask when its span is below the number of element pairs.
+# A sum whose span is below this many bits is always a shift-OR of masks.
+_MASK_BITS = 4096
 
-    Below that span the shift-OR sum costs no more than visiting every pair.
-    Above it the pairwise sum is cheaper, and a wide, sparse span such as
+
+def _add(a: _Shape, b: _Shape) -> _Shape:
+    """a + b, as a mask when its span is below :data:`_MASK_BITS` or below the
+    number of element pairs.
+
+    Below the pair count the shift-OR sum costs no more than visiting every
+    pair, and below :data:`_MASK_BITS` its masks are small.  Above both the
+    pairwise sum is cheaper, and a wide, sparse span such as
     {0, 10**12} + {0, 3 * 10**12} would not fit in memory as a mask.
     """
-    if _top(a) + _top(b) >= _size(a) * _size(b):
+    span = _top(a) + _top(b)
+    if span >= _MASK_BITS and span >= _size(a) * _size(b):
         a, b = _elements(a), _elements(b)
         return tuple(sorted({x + y for x in a for y in b}))
     a, b = _mask(a), _mask(b)
@@ -264,13 +285,14 @@ def _add(a: _Shape, b: _Shape) -> _Shape:
 def _progression(acc: _Shape, h: int, k: int) -> _Shape:
     """acc + {0, h, 2h, ..., k * h} (k >= 1), by doubling shift-ORs.
 
-    The size rule is :func:`_add`'s: the mask is used only while the span of
-    the result is below the number of element pairs; otherwise the
-    progression's elements add pairwise.
+    The size rule is :func:`_add`'s: the mask is used when the span of the
+    result is below :data:`_MASK_BITS` or below the number of element pairs;
+    otherwise the progression's elements add pairwise.
     """
     if acc == 1 and h == 1:
         return (1 << (k + 1)) - 1
-    if _top(acc) + k * h >= _size(acc) * (k + 1):
+    span = _top(acc) + k * h
+    if span >= _MASK_BITS and span >= _size(acc) * (k + 1):
         terms = tuple(range(0, k * h + 1, h))
         return terms if acc == 1 else _add(acc, terms)
     acc = _mask(acc)

@@ -14,7 +14,12 @@ Four families of target sets are supported:
 Each family has one construction, :func:`_sumset_construction` or
 :func:`_geometric_construction`, from the spec and the free choices (base
 genus, block primes) to M, N and the recorded params; the checker compares a
-certificate with it by equality.  Every realisation returns a
+certificate with it by equality.  A sumset construction is kept in a small
+memo, so the checker, which asks right after the realiser, gets the
+realiser's M and N and finds them equal by identity; each caller gets its
+own copy of the params.  A spec's fields are tuples of ints, bools
+excluded, so that specs are equal, as memo keys, only when they are written
+alike.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
@@ -66,6 +71,14 @@ class MalformedCertificate(ValueError):
     """The certificate is structurally broken (not merely wrong)."""
 
 
+def _check_ints(name: str, values: object) -> None:
+    """Raise InvalidSpec unless ``values`` is a tuple of ints, bools excluded,
+    as the decoder builds it: a spec then equals only a spec of the same
+    values in type too, and hashes."""
+    if type(values) is not tuple or not all(type(x) is int for x in values):
+        raise InvalidSpec(f"{name} must be a tuple of integers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SumsetFamily:
     d: tuple[int, ...]
@@ -73,6 +86,9 @@ class SumsetFamily:
     nprime: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_ints("d", self.d)
+        _check_ints("n", self.n)
+        _check_ints("nprime", self.nprime)
         if not self.d:
             raise InvalidSpec("sumset family needs at least one term")
         if not (len(self.d) == len(self.n) == len(self.nprime)):
@@ -89,9 +105,14 @@ class ArithIntervals:
 
     def __post_init__(self) -> None:
         bs = self.bounds
+        if type(bs) is not tuple:
+            raise InvalidSpec(f"interval sequence must be a tuple, got {bs!r}")
         if not bs:
             raise InvalidSpec("interval sequence must be non-empty")
-        for b, c in bs:
+        for pair in bs:
+            b, c = pair
+            if type(pair) is not tuple or type(b) is not int or type(c) is not int:
+                raise InvalidSpec(f"interval {pair!r} is not a tuple of two integers")
             if b > c:
                 raise InvalidSpec(f"interval [{b}, {c}] is empty")
         for (b1, c1), (b2, _) in zip(bs, bs[1:]):
@@ -109,12 +130,16 @@ class ArithIntervals:
 class SubsetSums:
     d: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        _check_ints("d", self.d)
+
 
 @dataclass(frozen=True)
 class Geometric:
     d: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_ints("d", self.d)
         if not self.d:
             raise InvalidSpec("geometric family needs at least one value")
         if any(x < 1 for x in self.d):
@@ -197,7 +222,34 @@ def _sumset_family(
     return (1, d2), (c_k, len(bounds) - k), (-b_k, k - 1)
 
 
+# The sumset construction of each (spec, genus) built lately.  The checker
+# asks for the one the realiser has just built, so a small bound is enough;
+# cleared whole when full, and emptied by engine.clear_cache().
+_CONSTRUCTIONS: dict[tuple, tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]] = {}
+_CONSTRUCTIONS_MAX = 64
+engine._MEMOS.append(_CONSTRUCTIONS)
+
+
 def _sumset_construction(
+    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
+) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
+    """:func:`_new_sumset_construction`, built once while in the memo, so the
+    realiser and the checker share M and N, and with them equality by
+    identity.  Each caller gets its own params, its ``d_i_prime`` list copied
+    too, so a certificate whose params are edited in place still differs
+    from the construction."""
+    key = (spec, genus, type(genus))  # params hold genus as given, an int subclass too
+    built = _CONSTRUCTIONS.get(key)
+    if built is None:
+        built = _new_sumset_construction(spec, genus)
+        if len(_CONSTRUCTIONS) >= _CONSTRUCTIONS_MAX:
+            _CONSTRUCTIONS.clear()
+        _CONSTRUCTIONS[key] = built
+    m_expr, n_expr, params = built
+    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
+
+
+def _new_sumset_construction(
     spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
     """M, N and params realising {sum m_i d_i | -n'_i <= m_i <= n_i} for the

@@ -1,6 +1,15 @@
 """Integer-set algebra: examples, algebraic laws, error behavior."""
 
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 from hypothesis import given
@@ -30,6 +39,7 @@ from degreecalc.intset import (
 )
 
 fin = DegreeSet.finite
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 small_sets = st.lists(
     st.integers(min_value=-100, max_value=100), min_size=0, max_size=20
@@ -136,6 +146,65 @@ class TestSumKernel:
         assert weighted_sumset([(fin([0, t]), 5000), (fin([0, 1]), 1)]) == fin(
             [k * t + e for k in range(5001) for e in (0, 1)]
         )
+
+    def test_add_follows_the_size_rule(self):
+        # a mask when the span is below _MASK_BITS or below the pair count,
+        # pairwise otherwise: each limit from both sides
+        limit = intset._MASK_BITS
+        s = math.isqrt(limit) + 2  # s * (s - 1) pairs, more than the limit
+        pairs = s * (s - 1)
+        cases = [((0, span - 3), (0, 3), span < limit) for span in (limit - 1, limit, limit + 1)]
+        cases += [
+            (tuple(range(s)), (*range(s - 2), top), top + s - 1 < pairs)
+            for top in (pairs - s, pairs - s + 1, pairs - s + 2)
+        ]
+        for a, b, mask in cases:
+            got = intset._add(a, b)
+            assert isinstance(got, int) == mask, (a[-1] + b[-1], len(a) * len(b))
+            assert fin(intset._elements(got)) == naive_sumset(fin(a), fin(b))
+
+    def test_progression_follows_the_size_rule(self):
+        limit = intset._MASK_BITS
+        s = math.isqrt(limit) + 2
+        # (acc, h, k): acc + {0, h, ..., k * h}
+        cases = [((0, 1), span - 1, 1) for span in (limit - 1, limit, limit + 1)]
+        # s elements up to s, and s - 2 copies: s * (s - 1) pairs, reached at h = s
+        cases += [((*range(s - 1), s), h, s - 2) for h in (s - 1, s, s + 1)]
+        for acc, h, k in cases:
+            span, pairs = acc[-1] + k * h, len(acc) * (k + 1)
+            got = intset._progression(acc, h, k)
+            assert isinstance(got, int) == (span < limit or span < pairs), (span, pairs)
+            expected = naive_sumset(fin(acc), fin(range(0, k * h + 1, h)))
+            assert fin(intset._elements(got)) == expected
+
+    @pytest.mark.skipif(resource is None, reason="platform has no resource limits")
+    def test_wide_sparse_sums_build_no_mask(self):
+        # in a child under a 1 GiB address-space limit: a mask of these sums
+        # would take 10**12 bits
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code = (
+            "from degreecalc.intset import DegreeSet, sumset, weighted_sumset\n"
+            "fin, t = DegreeSet.finite, 10**12\n"
+            "print(sumset(fin([0, t]), fin([0, 3 * t])))\n"
+            "print(weighted_sumset([(fin([0, 1, 5]), 2), (fin([0, t]), 3)]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC)},
+            preexec_fn=limit_memory,
+            timeout=60,
+        )
+        t = 10**12
+        small = sorted({a + b for a in (0, 1, 5) for b in (0, 1, 5)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            str(fin([0, t, 3 * t, 4 * t])),
+            str(fin(k * t + e for k in range(4) for e in small)),
+        ]
 
     def test_progression_counts_against_closed_forms(self):
         # k + 1 terms for every k up to 900, powers of two and their neighbours

@@ -77,6 +77,28 @@ class TestSpecs:
         with pytest.raises(InvalidSpec):
             Geometric(())
 
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (ArithIntervals, (((0.0, 1.0),),)),
+            (ArithIntervals, (((False, True),),)),
+            (ArithIntervals, ([(0, 1)],)),
+            (ArithIntervals, (([0, 1],),)),
+            (SumsetFamily, ((1,), (True,), (0,))),
+            (SumsetFamily, ((2.0,), (1,), (1,))),
+            (SumsetFamily, ([1], (1,), (1,))),
+            (SubsetSums, ((1, 2.5),)),
+            (SubsetSums, ((True,),)),
+            (SubsetSums, ([1, 2],)),
+            (Geometric, ((2.0, 3),)),
+            (Geometric, ((2, True),)),
+        ],
+    )
+    def test_fields_must_be_tuples_of_ints(self, cls, fields):
+        # what the decoder demands: a spec it could not read back is refused
+        with pytest.raises(InvalidSpec):
+            cls(*fields)
+
 
 class TestSumsetRealisation:
     def test_two_term_family(self):
@@ -461,13 +483,50 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
     for i in range(5000):
         parse_expr(f"K(2;{i}) # K(2;1) x S1")
         _geometric_blocks(2, i, 2)
+        _sumset_construction(SubsetSums((i,)), 2)
         assert len(dsl._TERMS) <= 4096 and len(realiser._BLOCKS) <= 4096
-    assert dsl._TERMS and realiser._BLOCKS
+        assert len(realiser._CONSTRUCTIONS) <= realiser._CONSTRUCTIONS_MAX
+    assert dsl._TERMS and realiser._BLOCKS and realiser._CONSTRUCTIONS
     engine.clear_cache()
-    assert not dsl._TERMS and not realiser._BLOCKS
+    assert not dsl._TERMS and not realiser._BLOCKS and not realiser._CONSTRUCTIONS
     long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
     assert not dsl._TERMS
+
+
+def test_checker_gets_the_realisers_construction_and_its_own_params():
+    cert = GOLDEN_CASES["intervals"]()
+    m, n, params = _sumset_construction(cert.spec, BASE_GENUS)
+    assert m is cert.m and n is cert.n
+    assert params == cert.params
+    assert params is not cert.params and params["d_i_prime"] is not cert.params["d_i_prime"]
+
+    class Genus(int):
+        pass
+
+    # params hold the genus as given, so an int subclass gets its own entry
+    assert type(_sumset_construction(cert.spec, Genus(2))[2]["base_genus"]) is Genus
+    assert type(_sumset_construction(cert.spec, 2)[2]["base_genus"]) is int
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda params: params["d_i_prime"].append(1),
+        lambda params: params["d_i_prime"].__setitem__(0, params["d_i_prime"][0] + 1),
+        lambda params: params.__setitem__("n1", params["n1"] + 1),
+    ],
+    ids=["append", "increment_in_list", "increment"],
+)
+def test_params_edited_in_place_are_reported_and_not_kept(edit):
+    cert = GOLDEN_CASES["intervals"]()
+    edit(cert.params)
+    report = check_certificate(cert)
+    assert not report.ok
+    assert any(m.startswith(("d_i_prime ", "n1 ")) for m in report.mismatches), report.mismatches
+    # the next realisation of the spec still writes the recorded bytes
+    expected = (GOLDEN / "intervals.json").read_text(encoding="utf-8")
+    assert certificate_to_json(GOLDEN_CASES["intervals"]()) + "\n" == expected
 
 
 def test_certificate_texts_parse_as_the_tokenizer_parses_them():
