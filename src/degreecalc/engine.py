@@ -120,7 +120,8 @@ class SetBound:
 
     @property
     def exact(self) -> bool:
-        return self.upper is not None and intset.equals(self.lower, self.upper)
+        upper = self.upper
+        return upper is self.lower or (upper is not None and intset.equals(self.lower, upper))
 
     def exact_set(self) -> DegreeSet:
         if not self.exact:
@@ -145,8 +146,8 @@ _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
 _CACHE_MAX = 4096
 _SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
 # The memos other modules keep, each bounded and cleared whole like the cache:
-# dsl's parsed terms, and the realiser's geometric blocks and sumset
-# constructions, which it adds.
+# dsl's parsed terms, and the realiser's circle bundles, geometric blocks and
+# sumset constructions, which it adds.
 _MEMOS: list[dict] = [_TERMS]
 
 
@@ -278,22 +279,28 @@ def _fold_sumsets(parts: list[tuple[DegreeSet, int]]) -> DegreeSet:
 
 
 def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
-    children = [(_bounds(s, n), count) for s, count in m.counts]
     trace: list[RuleApplication] = []
-    for child, _ in children:
+    parts: list[tuple[DegreeSet, int]] = []
+    exact = True
+    summands = 0
+    for s, count in m.counts:
+        child = _bounds(s, n)
         trace.extend(child.trace)
+        parts.append((child.lower, count))
+        exact = exact and child.exact
+        summands += count
 
-    lower = _fold_sumsets([(c.lower, count) for c, count in children])
+    lower = _fold_sumsets(parts)
     pi2 = _pi2_trivial_or_none(n)
     # One fold: pi2 holds only for a bundle N (sums go to _target_conn_sum),
     # and against it a summand is exact or has no upper set at all.
-    upper = lower if pi2 and all(c.exact for c, _ in children) else None
+    upper = lower if pi2 and exact else None
     entry = RuleApplication(
         "connected_sum_source_sum",
         (m, n),
         lower,
         (
-            ("summand_count", sum(count for _, count in m.counts)),
+            ("summand_count", summands),
             ("pi2_trivial_target", bool(pi2)),
             ("exact", upper is not None),
         ),

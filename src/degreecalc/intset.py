@@ -185,7 +185,10 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
         first = p[0]
         lo += n * first
         hi += n * p[-1]
-        step = gcd(step, *[x - first for x in p])
+        if len(p) == 2:
+            step = gcd(step, p[1] - first)
+        else:
+            step = gcd(step, *[x - first for x in p])
     _check_element(lo)
     _check_element(hi)
     step = step or 1
@@ -287,10 +290,15 @@ def _progression(acc: _Shape, h: int, k: int) -> _Shape:
 
     The size rule is :func:`_add`'s: the mask is used when the span of the
     result is below :data:`_MASK_BITS` or below the number of element pairs;
-    otherwise the progression's elements add pairwise.
+    otherwise the progression's elements add pairwise.  Added to {0}, the
+    progression's mask is the geometric sum of 2**(i * h) for i <= k, built
+    in closed form.
     """
-    if acc == 1 and h == 1:
-        return (1 << (k + 1)) - 1
+    if acc == 1:  # {0, h, ..., k * h} itself, in closed form below the mask limit
+        if h == 1:
+            return (1 << (k + 1)) - 1
+        if h * k < _MASK_BITS:
+            return ((1 << h * (k + 1)) - 1) // ((1 << h) - 1)
     span = _top(acc) + k * h
     if span >= _MASK_BITS and span >= _size(acc) * (k + 1):
         terms = tuple(range(0, k * h + 1, h))

@@ -16,10 +16,13 @@ Each family has one construction, :func:`_sumset_construction` or
 genus, block primes) to M, N and the recorded params; the checker compares a
 certificate with it by equality.  A sumset construction is kept in a small
 memo, so the checker, which asks right after the realiser, gets the
-realiser's M and N and finds them equal by identity; each caller gets its
-own copy of the params.  A spec's fields are tuples of ints, bools
-excluded, so that specs are equal, as memo keys, only when they are written
-alike.  Every realisation returns a
+realiser's M and N and finds them equal by identity.  The checker compares
+with the memo's own params; each realisation gets its own copy.  Every
+circle bundle K(g; e) of a construction comes from one bounded memo, so the
+constructions of a pass share their bundles, and the engine finds its cache
+keys equal by identity.  The decoder never takes objects from these memos.
+A spec's fields are tuples of ints, bools excluded, so that specs are equal,
+as memo keys, only when they are written alike.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
@@ -212,14 +215,17 @@ def _sumset_family(
             tuple(0 if x > 0 else 1 for x in values),
         )
     bounds = spec.bounds
-    k = next((i + 1 for i, (b, c) in enumerate(bounds) if b <= 0 <= c), None)
-    if k is None:
-        raise ZeroNotContained(f"no interval of {bounds} contains 0")
+    l, b_1 = len(bounds), bounds[0][0]
+    d2 = bounds[1][0] - b_1 if l > 1 else 1
+    # The starts b_1 + (i - 1) * d2 are equally spaced and the intervals
+    # disjoint, so only the last interval starting at or below 0 can hold it.
+    k = min(l, 1 + (-b_1) // d2) if b_1 <= 0 else 1
     b_k, c_k = bounds[k - 1]
-    if len(bounds) == 1:
+    if not b_k <= 0 <= c_k:
+        raise ZeroNotContained(f"no interval of {bounds} contains 0")
+    if l == 1:
         return (1, 1), (c_k, 0), (-b_k, 0)
-    d2 = bounds[1][0] - bounds[0][0]
-    return (1, d2), (c_k, len(bounds) - k), (-b_k, k - 1)
+    return (1, d2), (c_k, l - k), (-b_k, k - 1)
 
 
 # The sumset construction of each (spec, genus) built lately.  The checker
@@ -233,11 +239,20 @@ engine._MEMOS.append(_CONSTRUCTIONS)
 def _sumset_construction(
     spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
+    """:func:`_shared_sumset_construction` with the caller's own params, its
+    ``d_i_prime`` list copied too, so a certificate whose params are edited
+    in place still differs from the construction."""
+    m_expr, n_expr, params = _shared_sumset_construction(spec, genus)
+    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
+
+
+def _shared_sumset_construction(
+    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
+) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
     """:func:`_new_sumset_construction`, built once while in the memo, so the
     realiser and the checker share M and N, and with them equality by
-    identity.  Each caller gets its own params, its ``d_i_prime`` list copied
-    too, so a certificate whose params are edited in place still differs
-    from the construction."""
+    identity.  The params are the memo's own: only the checker, which
+    compares with them and keeps nothing, may take them from here."""
     key = (spec, genus, type(genus))  # params hold genus as given, an int subclass too
     built = _CONSTRUCTIONS.get(key)
     if built is None:
@@ -245,8 +260,7 @@ def _sumset_construction(
         if len(_CONSTRUCTIONS) >= _CONSTRUCTIONS_MAX:
             _CONSTRUCTIONS.clear()
         _CONSTRUCTIONS[key] = built
-    m_expr, n_expr, params = built
-    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
+    return built
 
 
 def _new_sumset_construction(
@@ -274,14 +288,34 @@ def _new_sumset_construction(
         # All multiplicities zero: the only representable value is 0, which a
         # bundle pair with non-dividing Euler numbers realises exactly.
         # d' + 1 is the smallest value > d' not dividing d'.
-        m_expr = CircleBundle(genus, d_prime + 1)
+        m_expr = _bundle(genus, d_prime + 1)
         params["degenerate_euler"] = d_prime + 1
     if isinstance(spec, ArithIntervals):
         (n1, n2), (n1p, n2p) = n, nprime
         params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1)
     elif isinstance(spec, SubsetSums):
         params["dropped_zeros"] = spec.d.count(0)
-    return m_expr, CircleBundle(genus, d_prime), params
+    return m_expr, _bundle(genus, d_prime), params
+
+
+# The bundle K(genus; e) of each (genus, e, type(genus)) built lately, shared
+# by every construction, so that engine cache keys match by identity.
+# Bounded and cleared whole like the engine's pair cache, and emptied with it.
+_BUNDLES: dict[tuple[int, int, type], CircleBundle] = {}
+engine._MEMOS.append(_BUNDLES)
+
+
+def _bundle(genus: int, e: int) -> CircleBundle:
+    """K(genus; e), built once while in the bundle memo; keyed on the genus's
+    type too, so that a bundle holds its genus as given, an int subclass too."""
+    key = (genus, e, type(genus))
+    bundle = _BUNDLES.get(key)
+    if bundle is None:
+        bundle = CircleBundle(genus, e)
+        if len(_BUNDLES) >= engine._CACHE_MAX:
+            _BUNDLES.clear()
+        _BUNDLES[key] = bundle
+    return bundle
 
 
 def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
@@ -289,7 +323,7 @@ def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
     number e with a positive count.  The summands are bundles over one base,
     so Euler-number order is their :func:`sort_key` order and the sum is built
     canonical, without the checks of the ``ConnSum`` constructor."""
-    summands = tuple((CircleBundle(genus, e), k) for e, k in sorted(counts.items()) if k)
+    summands = tuple((_bundle(genus, e), k) for e, k in sorted(counts.items()) if k)
     return ConnSum._trusted(summands)
 
 
@@ -472,7 +506,7 @@ def _same(a: object, b: object) -> bool:
         if t is not (list if type(b) is tuple else type(b)):
             return False
     if t is dict:
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+        return a.keys() == b.keys() and all(a[k] is b[k] or _same(a[k], b[k]) for k in a)
     if t is list:
         return len(a) == len(b) and all(map(_same, a, b))
     return a == b

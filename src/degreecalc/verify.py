@@ -60,7 +60,7 @@ from .realiser import (
     _geometric_construction,
     _is_prime,
     _same,
-    _sumset_construction,
+    _shared_sumset_construction,
     _written_with,
 )
 
@@ -292,13 +292,13 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
         m, n, expected = _geometric_construction(spec, qs, genus)
     else:
         try:
-            m, n, expected = _sumset_construction(spec, genus)
+            m, n, expected = _shared_sumset_construction(spec, genus)
         except InvalidSpec as exc:
             problems.append(f"spec has no realising family: {exc}")
             return
-    if cert.n != n:
+    if cert.n is not n and cert.n != n:
         problems.append(f"target is not the construction's {print_expr(n)}")
-    if cert.m != m:
+    if cert.m is not m and cert.m != m:
         problems.append("source summands do not match the family multiplicities")
     if not _same(params, expected):
         for key in {**expected, **params}:

@@ -177,6 +177,23 @@ class TestSumKernel:
             expected = naive_sumset(fin(acc), fin(range(0, k * h + 1, h)))
             assert fin(intset._elements(got)) == expected
 
+    @pytest.mark.parametrize("h", [2, 3, 7, 64])
+    def test_first_progression_in_closed_form(self, h):
+        # {0} + {0, h, ..., k * h}: the closed-form mask below _MASK_BITS, the
+        # element tuple from there; k * h just below, at (or first above) and
+        # just above the limit
+        limit = intset._MASK_BITS
+        first_over = -(-limit // h)
+        for k in (first_over - 1, first_over, first_over + 1):
+            got = intset._progression(1, h, k)
+            assert isinstance(got, int) == (h * k < limit), (h, k)
+            half = k // 2
+            expected = naive_sumset(fin(range(0, half * h + 1, h)), fin(range(0, (k - half) * h + 1, h)))
+            assert fin(intset._elements(got)) == expected
+            # as the first part of a sum whose common step is 1
+            parts = [(fin([0, h]), k), (fin([0, 1]), 1)]
+            assert weighted_sumset(parts) == naive_sumset(expected, fin([0, 1]))
+
     @pytest.mark.skipif(resource is None, reason="platform has no resource limits")
     def test_wide_sparse_sums_build_no_mask(self):
         # in a child under a 1 GiB address-space limit: a mask of these sums

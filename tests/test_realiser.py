@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import dsl, engine, realiser
+from degreecalc import dsl, engine, realiser, verify
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle, ConnSum, normalize
+from degreecalc.manifold import CircleBundle, ConnSum, Product, normalize
 from degreecalc.realiser import (
     BASE_GENUS,
     ArithIntervals,
@@ -173,6 +173,69 @@ class TestIntervalRealisation:
     def test_zero_required(self):
         with pytest.raises(ZeroNotContained):
             realise_arith_intervals(ArithIntervals(((1, 2), (4, 5))))
+
+
+def _scanned_family(bounds):
+    """:func:`_sumset_family` of an interval sequence, its zero interval
+    found by scanning the intervals in order: the reference for the index."""
+    k = next((i + 1 for i, (b, c) in enumerate(bounds) if b <= 0 <= c), None)
+    if k is None:
+        raise ZeroNotContained(f"no interval of {bounds} contains 0")
+    b_k, c_k = bounds[k - 1]
+    if len(bounds) == 1:
+        return (1, 1), (c_k, 0), (-b_k, 0)
+    d2 = bounds[1][0] - bounds[0][0]
+    return (1, d2), (c_k, len(bounds) - k), (-b_k, k - 1)
+
+
+def test_zero_interval_index_matches_the_scan_on_the_sweep():
+    from test_acceptance import _interval_sweep
+
+    cases = 0
+    for bounds in _interval_sweep():
+        assert _sumset_family(ArithIntervals(bounds)) == _scanned_family(bounds), bounds
+        cases += 1
+    assert cases == 37315
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ((-1, 0), (3, 4), (7, 8)),  # 0 in the first interval
+        ((0, 0), (5, 5)),
+        ((-8, -7), (-4, -3), (0, 1)),  # 0 in the last
+        ((-12, -10), (-6, -4), (0, 2)),
+        ((-7, -5), (-2, 0), (3, 5), (8, 10)),  # in the middle, at an end
+        ((-2, 3),),  # a single interval
+        ((0, 0),),
+        ((-5, 0),),
+    ],
+)
+def test_zero_interval_index_on_hand_made_sequences(bounds):
+    assert _sumset_family(ArithIntervals(bounds)) == _scanned_family(bounds)
+    assert realise_arith_intervals(ArithIntervals(bounds)).target == fin(
+        x for b, c in bounds for x in range(b, c + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ((-3, -2), (2, 3)),  # 0 in a gap
+        ((-9, -8), (-2, -1), (5, 6)),
+        ((1, 2), (4, 5)),  # 0 before the first start
+        ((1, 1),),
+        ((-9, -8), (-5, -4)),  # 0 after the last end
+        ((-3, -1),),
+    ],
+)
+def test_zero_outside_every_interval_is_refused_with_its_message(bounds):
+    with pytest.raises(ZeroNotContained) as err:
+        _sumset_family(ArithIntervals(bounds))
+    assert str(err.value) == f"no interval of {bounds} contains 0"
+    with pytest.raises(ZeroNotContained) as err:
+        realise_arith_intervals(ArithIntervals(bounds))
+    assert str(err.value) == f"no interval of {bounds} contains 0"
 
 
 class TestSubsetSumRealisation:
@@ -486,9 +549,11 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
         _sumset_construction(SubsetSums((i,)), 2)
         assert len(dsl._TERMS) <= 4096 and len(realiser._BLOCKS) <= 4096
         assert len(realiser._CONSTRUCTIONS) <= realiser._CONSTRUCTIONS_MAX
-    assert dsl._TERMS and realiser._BLOCKS and realiser._CONSTRUCTIONS
+        assert len(realiser._BUNDLES) <= 4096
+    memos = (dsl._TERMS, realiser._BLOCKS, realiser._CONSTRUCTIONS, realiser._BUNDLES)
+    assert all(memos)
     engine.clear_cache()
-    assert not dsl._TERMS and not realiser._BLOCKS and not realiser._CONSTRUCTIONS
+    assert not any(memos)
     long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
     assert not dsl._TERMS
@@ -507,6 +572,61 @@ def test_checker_gets_the_realisers_construction_and_its_own_params():
     # params hold the genus as given, so an int subclass gets its own entry
     assert type(_sumset_construction(cert.spec, Genus(2))[2]["base_genus"]) is Genus
     assert type(_sumset_construction(cert.spec, 2)[2]["base_genus"]) is int
+
+
+def _bundles(m):
+    return [s for s, _ in m.counts] if isinstance(m, ConnSum) else [m]
+
+
+def test_realiser_and_checker_share_the_bundle_objects(monkeypatch):
+    engine.clear_cache()
+    cert = GOLDEN_CASES["intervals"]()
+    seen = []
+    shared = verify._shared_sumset_construction
+    monkeypatch.setattr(
+        verify, "_shared_sumset_construction", lambda *a: seen.append(shared(*a)) or seen[-1]
+    )
+    assert check_certificate(cert).ok
+    (m, n, _), = seen
+    assert m is cert.m and n is cert.n
+    memo = realiser._BUNDLES
+    for bundle in _bundles(cert.m) + [cert.n]:
+        assert memo[BASE_GENUS, bundle.euler, int] is bundle
+    # another spec's construction takes the same objects for the same bundles
+    other = realise_arith_intervals(ArithIntervals(((-6, -4), (-1, 1), (4, 6))))
+    assert other.n is cert.n
+    assert {id(b) for b in _bundles(other.m)} <= {id(b) for b in _bundles(cert.m)}
+
+
+def test_bundles_keep_the_genus_as_given():
+    class Genus(int):
+        def __repr__(self):
+            return f"Genus({int(self)})"
+
+    engine.clear_cache()
+    spec = ArithIntervals(((-2, -1), (0, 1), (2, 3)))
+    for genus in (2, Genus(2), 2):
+        m, n, _ = _sumset_construction(spec, genus)
+        assert all(type(b.base_genus) is type(genus) for b in _bundles(m) + [n])
+
+
+def _nodes(m):
+    """m, its factors and their summands."""
+    factors = m.factors if isinstance(m, Product) else (m,)
+    return [m, *factors, *(b for f in factors for b in _bundles(f))]
+
+
+def test_decoded_certificates_take_nothing_from_the_memos():
+    engine.clear_cache()
+    for make in GOLDEN_CASES.values():
+        cert = make()
+        decoded = certificate_from_json(certificate_to_json(cert))
+        assert decoded.m == cert.m and decoded.n == cert.n
+        built = {id(b) for b in realiser._BUNDLES.values()}
+        built |= {id(x) for c in realiser._CONSTRUCTIONS.values() for x in c[:2]}
+        built |= {id(x) for pair in realiser._BLOCKS.values() for x in pair}
+        held = {id(x) for side in (decoded.m, decoded.n) for x in _nodes(side)}
+        assert not built & held, make
 
 
 @pytest.mark.parametrize(

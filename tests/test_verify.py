@@ -519,6 +519,42 @@ class TestCheckCertificate:
             assert not report.ok
             assert any(m.startswith(f"{field} ") for m in report.mismatches), report.mismatches
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda c: dataclasses.replace(c, m=realise_arith_intervals(ArithIntervals(((0, 1),))).m),
+                "source summands do not match the family multiplicities",
+            ),
+            (
+                lambda c: dataclasses.replace(c, n=CircleBundle(2, c.n.euler + 1)),
+                "target is not the construction's K(2;2)",
+            ),
+            (
+                lambda c: dataclasses.replace(c, params={**c.params, "n1": True}),
+                "n1 True is not the construction's 1",
+            ),
+            (
+                lambda c: dataclasses.replace(c, params={**c.params, "n2": 1.0}),
+                "n2 1.0 is not the construction's 1",
+            ),
+            (
+                lambda c: dataclasses.replace(c, params={**c.params, "d_i_prime": [2, True]}),
+                "d_i_prime [2, True] is not the construction's [2, 1]",
+            ),
+        ],
+        ids=["other_m", "other_n", "true_for_1", "float_for_int", "true_in_list"],
+    )
+    def test_interval_construction_edits_are_reported(self, edit, message):
+        # the checker compares with the construction the realiser has just
+        # built: M and N by identity first, params by their written form
+        cert = PARAMS_CERTS["intervals"]
+        realise_arith_intervals(cert.spec)  # its construction in the memo, as in a pass
+        bad = edit(cert)
+        for candidate in (bad, certificate_from_json(certificate_to_json(bad))):
+            report = check_certificate(candidate)
+            assert message in report.mismatches, report.mismatches
+
     def test_huge_prime_q_is_rejected_quickly(self):
         cert = realise_geometric(Geometric((2,)))
         bad = dataclasses.replace(cert, params={**cert.params, "q": [10**16 + 61]})
