@@ -19,11 +19,10 @@ and kept on it; every later :func:`print_expr` of that object returns it.
 A text in :func:`print_expr`'s layout without parentheses (atoms joined by
 ``" # "`` into terms, terms joined by ``" x "``), such as a certificate's M and
 N, is parsed by splitting it there.  Each term text of at most 4,096
-characters that parses is kept with its expression in a bounded memo, which
-``engine.clear_cache()`` empties, and each distinct atom text of a term not
-in it is parsed once per call.  Every other text, and any text on which that
-path fails, goes through the tokenizer, which raises the errors documented
-here.
+characters that parses is kept with its expression in a memo, and each
+distinct atom text of a term not in it is parsed once per call.  Every other
+text, and any text on which that path fails, goes through the tokenizer, which
+raises the errors documented here.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
+from ._memo import memo, store
 from .manifold import (
     CIRCLE,
     Circle,
@@ -192,12 +192,9 @@ def parse_expr(text: str) -> ManifoldExpr:
 # which reports one too long for int() with its column.
 _ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
 
-# The expression of each term text the canonical path has parsed.  Bounded and
-# cleared whole, like the engine's pair cache, and emptied with it by
-# engine.clear_cache().  A longer term text is parsed on every call, so that
-# the memo never holds more than _TERMS_MAX * _TERM_TEXT_MAX characters.
-_TERMS: dict[str, ManifoldExpr] = {}
-_TERMS_MAX = 4096
+# The expression of each term text the canonical path has parsed.  A longer
+# term text is parsed on every call, so that the memo's texts stay bounded.
+_TERMS: dict[str, ManifoldExpr] = memo()
 _TERM_TEXT_MAX = 4096
 
 
@@ -214,9 +211,7 @@ def _parse_canonical(text: str) -> ManifoldExpr | None:
             if expr is None:
                 return None
             if len(term) <= _TERM_TEXT_MAX:
-                if len(_TERMS) >= _TERMS_MAX:
-                    _TERMS.clear()
-                _TERMS[term] = expr
+                store(_TERMS, term, expr)
         factors.append(expr)
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 

@@ -25,7 +25,8 @@ from itertools import chain, permutations
 from typing import Iterator, Optional
 
 from . import intset
-from .dsl import _TERMS, print_expr
+from ._memo import MEMOS, store
+from .dsl import print_expr
 from .intset import ALL_INTEGERS, ZERO_ONLY, DegreeSet, UnrepresentableSet
 from .manifold import (
     Circle,
@@ -142,19 +143,15 @@ def _make_bound(
     return SetBound(lower, upper, tuple(dict.fromkeys(trace)))
 
 
+# Cleared by name, not through MEMOS, so a dict put in its place is emptied.
 _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
-_CACHE_MAX = 4096
 _SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
-# The memos other modules keep, each bounded and cleared whole like the cache:
-# dsl's parsed terms, and the realiser's circle bundles, geometric blocks and
-# sumset constructions, which it adds.
-_MEMOS: list[dict] = [_TERMS]
 
 
 def clear_cache() -> None:
-    """Empty the pair cache and every memo in ``_MEMOS``."""
+    """Empty the pair cache and every memo in ``_memo.MEMOS``."""
     _CACHE.clear()
-    for memo in _MEMOS:
+    for memo in MEMOS:
         memo.clear()
 
 
@@ -179,11 +176,7 @@ def _bounds(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:
     hit = _CACHE.get(key)
     if hit is not None:
         return hit
-    result = _compute(m, n)
-    if len(_CACHE) >= _CACHE_MAX:
-        _CACHE.clear()
-    _CACHE[key] = result
-    return result
+    return store(_CACHE, key, _compute(m, n))
 
 
 def _compute(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:

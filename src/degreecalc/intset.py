@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -123,11 +123,6 @@ class DegreeSet:
 
     def __contains__(self, d: int) -> bool:
         return contains(self, d)
-
-    def __iter__(self) -> Iterator[int]:
-        if self.is_all:
-            raise TypeError("cannot iterate over all integers")
-        return iter(self.elements)
 
     def __str__(self) -> str:
         if self.is_all:

@@ -14,13 +14,12 @@ Four families of target sets are supported:
 Each family has one construction, :func:`_sumset_construction` or
 :func:`_geometric_construction`, from the spec and the free choices (base
 genus, block primes) to M, N and the recorded params; the checker compares a
-certificate with it by equality.  A sumset construction is kept in a small
-memo, so the checker, which asks right after the realiser, gets the
-realiser's M and N and finds them equal by identity.  The checker compares
-with the memo's own params; each realisation gets its own copy.  Every
-circle bundle K(g; e) of a construction comes from one bounded memo, so the
-constructions of a pass share their bundles, and the engine finds its cache
-keys equal by identity.  The decoder never takes objects from these memos.
+certificate with it by equality.  Sumset constructions, geometric blocks and
+the circle bundles K(g; e) of both come from memos, so the realiser and the
+checker share M and N and the engine finds its cache keys equal by identity;
+each realisation gets its own copy of the params.  Every memo built from a
+genus keys on its type too, so what it builds holds the genus as given, an
+int subclass too.  The decoder never takes objects from these memos.
 A spec's fields are tuples of ints, bools excluded, so that specs are equal,
 as memo keys, only when they are written alike.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
@@ -50,6 +49,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from . import engine, intset
+from ._memo import memo, store
 from .dsl import parse_expr
 from .engine import RuleApplication
 from .intset import DegreeSet
@@ -113,8 +113,8 @@ class ArithIntervals:
         if not bs:
             raise InvalidSpec("interval sequence must be non-empty")
         for pair in bs:
-            b, c = pair
-            if type(pair) is not tuple or type(b) is not int or type(c) is not int:
+            b, c = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+            if type(b) is not int or type(c) is not int:
                 raise InvalidSpec(f"interval {pair!r} is not a tuple of two integers")
             if b > c:
                 raise InvalidSpec(f"interval [{b}, {c}] is empty")
@@ -228,52 +228,27 @@ def _sumset_family(
     return (1, d2), (c_k, l - k), (-b_k, k - 1)
 
 
-# The sumset construction of each (spec, genus) built lately.  The checker
-# asks for the one the realiser has just built, so a small bound is enough;
-# cleared whole when full, and emptied by engine.clear_cache().
-_CONSTRUCTIONS: dict[tuple, tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]] = {}
-_CONSTRUCTIONS_MAX = 64
-engine._MEMOS.append(_CONSTRUCTIONS)
+# The checker asks for what the realiser has just built: 64 entries are enough.
+_CONSTRUCTIONS: dict[tuple, tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]] = memo()
 
 
 def _sumset_construction(
     spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
-    """:func:`_shared_sumset_construction` with the caller's own params, its
-    ``d_i_prime`` list copied too, so a certificate whose params are edited
-    in place still differs from the construction."""
-    m_expr, n_expr, params = _shared_sumset_construction(spec, genus)
-    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
-
-
-def _shared_sumset_construction(
-    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
-) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
-    """:func:`_new_sumset_construction`, built once while in the memo, so the
-    realiser and the checker share M and N, and with them equality by
-    identity.  The params are the memo's own: only the checker, which
-    compares with them and keeps nothing, may take them from here."""
-    key = (spec, genus, type(genus))  # params hold genus as given, an int subclass too
-    built = _CONSTRUCTIONS.get(key)
-    if built is None:
-        built = _new_sumset_construction(spec, genus)
-        if len(_CONSTRUCTIONS) >= _CONSTRUCTIONS_MAX:
-            _CONSTRUCTIONS.clear()
-        _CONSTRUCTIONS[key] = built
-    return built
-
-
-def _new_sumset_construction(
-    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
-) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
     """M, N and params realising {sum m_i d_i | -n'_i <= m_i <= n_i} for the
-    family of :func:`_sumset_family`, over base genus ``genus``.
+    family of :func:`_sumset_family`, over base genus ``genus``, built once
+    while in the memo.  The params are the memo's own: only the checker,
+    which compares with them and keeps nothing, may take them from here.
 
     N is the bundle with Euler number d' = prod d_i; for each i, M gets n_i
     summands with Euler number d'/d_i and n'_i with -d'/d_i, so each summand
     contributes {0, d_i} or {0, -d_i} and the contributions add over the
     connected sum.
     """
+    key = (spec, genus, type(genus))
+    built = _CONSTRUCTIONS.get(key)
+    if built is not None:
+        return built
     d, n, nprime = _sumset_family(spec)
     d_prime = math.prod(d)
     d_i_prime = [d_prime // x for x in d]
@@ -295,26 +270,19 @@ def _new_sumset_construction(
         params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1)
     elif isinstance(spec, SubsetSums):
         params["dropped_zeros"] = spec.d.count(0)
-    return m_expr, _bundle(genus, d_prime), params
+    return store(_CONSTRUCTIONS, key, (m_expr, _bundle(genus, d_prime), params), 64)
 
 
-# The bundle K(genus; e) of each (genus, e, type(genus)) built lately, shared
-# by every construction, so that engine cache keys match by identity.
-# Bounded and cleared whole like the engine's pair cache, and emptied with it.
-_BUNDLES: dict[tuple[int, int, type], CircleBundle] = {}
-engine._MEMOS.append(_BUNDLES)
+_BUNDLES: dict[tuple[int, int, type], CircleBundle] = memo()
 
 
 def _bundle(genus: int, e: int) -> CircleBundle:
-    """K(genus; e), built once while in the bundle memo; keyed on the genus's
-    type too, so that a bundle holds its genus as given, an int subclass too."""
+    """K(genus; e), built once while in the bundle memo, so that every
+    construction shares it and engine cache keys match by identity."""
     key = (genus, e, type(genus))
     bundle = _BUNDLES.get(key)
     if bundle is None:
-        bundle = CircleBundle(genus, e)
-        if len(_BUNDLES) >= engine._CACHE_MAX:
-            _BUNDLES.clear()
-        _BUNDLES[key] = bundle
+        bundle = store(_BUNDLES, key, CircleBundle(genus, e))
     return bundle
 
 
@@ -327,20 +295,28 @@ def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
     return ConnSum._trusted(summands)
 
 
+def _sumset_certificate(spec: SumsetFamily | ArithIntervals | SubsetSums) -> Certificate:
+    """The certificate of the spec's :func:`_sumset_construction`, with its own
+    params, their ``d_i_prime`` list copied too, so a certificate whose params
+    are edited in place still differs from the construction."""
+    m_expr, n_expr, params = _sumset_construction(spec, BASE_GENUS)
+    return _certified(spec, m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])})
+
+
 def realise_sumset(spec: SumsetFamily) -> Certificate:
     """Realise {sum m_i d_i | -n'_i <= m_i <= n_i} by :func:`_sumset_construction`."""
-    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
+    return _sumset_certificate(spec)
 
 
 def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
     """Realise a union of equally spaced, equal-length integer intervals as
     the two-term sumset family of :func:`_sumset_family`."""
-    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
+    return _sumset_certificate(spec)
 
 
 def realise_subset_sums(spec: SubsetSums) -> Certificate:
     """Realise {sum over S of d_j | S a subset} by :func:`_sumset_construction`."""
-    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
+    return _sumset_certificate(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +360,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# The block pair of each (d, q, genus) built so far.  Bounded and cleared whole
-# like the engine's pair cache, and emptied with it by engine.clear_cache().
-_BLOCKS: dict[tuple[int, int, int], tuple[ManifoldExpr, ManifoldExpr]] = {}
-engine._MEMOS.append(_BLOCKS)
+_BLOCKS: dict[tuple[int, int, int, type], tuple[ManifoldExpr, ManifoldExpr]] = memo()
 
 
 def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
@@ -396,15 +369,13 @@ def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, Manifol
     and a certificate under check may record any integer q.  Built once while
     in the block memo, so the realiser and the checker share the blocks, and
     with them each block's kept text and equality by identity."""
-    key = (d, q, genus)
+    key = (d, q, genus, type(genus))
     blocks = _BLOCKS.get(key)
     if blocks is None:
         source = Counter({q: d})
         source.update((d, d * d))
         blocks = _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
-        if len(_BLOCKS) >= engine._CACHE_MAX:
-            _BLOCKS.clear()
-        _BLOCKS[key] = blocks
+        store(_BLOCKS, key, blocks)
     return blocks
 
 

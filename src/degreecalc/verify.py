@@ -60,7 +60,7 @@ from .realiser import (
     _geometric_construction,
     _is_prime,
     _same,
-    _shared_sumset_construction,
+    _sumset_construction,
     _written_with,
 )
 
@@ -292,7 +292,7 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
         m, n, expected = _geometric_construction(spec, qs, genus)
     else:
         try:
-            m, n, expected = _shared_sumset_construction(spec, genus)
+            m, n, expected = _sumset_construction(spec, genus)
         except InvalidSpec as exc:
             problems.append(f"spec has no realising family: {exc}")
             return

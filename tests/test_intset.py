@@ -385,12 +385,6 @@ class TestRepresentation:
         assert str(ALL_INTEGERS) == "Z"
         assert str(EMPTY) == "{}"
 
-    def test_iteration(self):
-        assert list(fin([3, -1, 0])) == [-1, 0, 3]
-        assert list(EMPTY) == []
-        with pytest.raises(TypeError):
-            iter(ALL_INTEGERS)
-
     def test_json_round_trip(self):
         for a in (fin([-3, 0, 7]), EMPTY, ALL_INTEGERS):
             assert intset.from_jsonable(intset.to_jsonable(a)) == a

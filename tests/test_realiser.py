@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import dsl, engine, realiser, verify
+from degreecalc import _memo, dsl, engine, realiser, verify
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
@@ -92,6 +92,10 @@ class TestSpecs:
             (SubsetSums, ([1, 2],)),
             (Geometric, ((2.0, 3),)),
             (Geometric, ((2, True),)),
+            (ArithIntervals, ((1, 2),)),
+            (ArithIntervals, ((None,),)),
+            (ArithIntervals, (((1, 2, 3),),)),
+            (ArithIntervals, (((1,),),)),
         ],
     )
     def test_fields_must_be_tuples_of_ints(self, cls, fields):
@@ -542,21 +546,40 @@ def test_shared_steps_are_written_once(monkeypatch):
 
 
 def test_pass_memos_are_bounded_and_emptied_with_the_cache():
+    memos = (dsl._TERMS, realiser._BLOCKS, realiser._CONSTRUCTIONS, realiser._BUNDLES)
+    assert sorted(map(id, _memo.MEMOS)) == sorted(map(id, memos))
+    assert all(m is not engine._CACHE for m in _memo.MEMOS)
     engine.clear_cache()
     for i in range(5000):
         parse_expr(f"K(2;{i}) # K(2;1) x S1")
         _geometric_blocks(2, i, 2)
         _sumset_construction(SubsetSums((i,)), 2)
         assert len(dsl._TERMS) <= 4096 and len(realiser._BLOCKS) <= 4096
-        assert len(realiser._CONSTRUCTIONS) <= realiser._CONSTRUCTIONS_MAX
+        assert len(realiser._CONSTRUCTIONS) <= 64
         assert len(realiser._BUNDLES) <= 4096
-    memos = (dsl._TERMS, realiser._BLOCKS, realiser._CONSTRUCTIONS, realiser._BUNDLES)
     assert all(memos)
     engine.clear_cache()
     assert not any(memos)
     long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
     assert not dsl._TERMS
+
+
+def test_a_dict_put_in_place_of_the_pair_cache_is_bounded_and_emptied(monkeypatch):
+    class CountingCache(dict):  # as a tracer that counts the cache's use puts it in place
+        most = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.most = max(self.most, len(self))
+
+    cache = CountingCache()
+    monkeypatch.setattr(engine, "_CACHE", cache)
+    for e in range(5000):
+        engine.degree_bounds(CircleBundle(2, e), CircleBundle(2, 1))
+    assert cache.most == 4096 and cache
+    engine.clear_cache()
+    assert not cache
 
 
 def test_checker_gets_the_realisers_construction_and_its_own_params():
@@ -582,9 +605,9 @@ def test_realiser_and_checker_share_the_bundle_objects(monkeypatch):
     engine.clear_cache()
     cert = GOLDEN_CASES["intervals"]()
     seen = []
-    shared = verify._shared_sumset_construction
+    shared = verify._sumset_construction
     monkeypatch.setattr(
-        verify, "_shared_sumset_construction", lambda *a: seen.append(shared(*a)) or seen[-1]
+        verify, "_sumset_construction", lambda *a: seen.append(shared(*a)) or seen[-1]
     )
     assert check_certificate(cert).ok
     (m, n, _), = seen
@@ -608,6 +631,10 @@ def test_bundles_keep_the_genus_as_given():
     for genus in (2, Genus(2), 2):
         m, n, _ = _sumset_construction(spec, genus)
         assert all(type(b.base_genus) is type(genus) for b in _bundles(m) + [n])
+    for genus in (Genus(3), 3):
+        blocks = _geometric_blocks(2, 5, genus)
+        assert all(type(b.base_genus) is type(genus) for x in blocks for b in _bundles(x))
+    assert print_expr(blocks[1]) == "K(3;4) # K(3;5)"
 
 
 def _nodes(m):
