@@ -1,10 +1,6 @@
-"""Bounded memos of values that a pass computes more than once.
-
-A memo is a plain dict made by :func:`memo`, which registers it in
-:data:`MEMOS` for ``engine.clear_cache()`` to empty.  A lookup is the
-caller's own ``m.get(key)``; a miss stores through :func:`store`, which
-clears the memo whole when it is full.
-"""
+"""Bounded memos of values that a pass computes more than once: plain dicts
+that ``engine.clear_cache()`` empties, each looked up by the caller's own
+``m.get(key)``."""
 
 from typing import TypeVar
 

@@ -13,16 +13,6 @@ Grammar::
 Whitespace is insignificant.  Parsed expressions are canonical as built, and
 :func:`print_expr` emits the canonical text, so
 ``parse_expr(print_expr(e)) == normalize(e)`` for every well-formed ``e``.
-Expressions are immutable, so the text is computed once per expression object
-and kept on it; every later :func:`print_expr` of that object returns it.
-
-A text in :func:`print_expr`'s layout without parentheses (atoms joined by
-``" # "`` into terms, terms joined by ``" x "``), such as a certificate's M and
-N, is parsed by splitting it there.  Each term text of at most 4,096
-characters that parses is kept with its expression in a memo, and each
-distinct atom text of a term not in it is parsed once per call.  Every other
-text, and any text on which that path fails, goes through the tokenizer, which
-raises the errors documented here.
 """
 
 from __future__ import annotations
@@ -199,15 +189,15 @@ _TERM_TEXT_MAX = 4096
 
 
 def _parse_canonical(text: str) -> ManifoldExpr | None:
-    """The expression of a text in print_expr's layout without parentheses,
-    each term text parsed once while it is in the term memo and each distinct
-    atom text once per call; None if the text is not in that layout."""
-    atoms: dict[str, ManifoldExpr] = {}
+    """The expression of a text in print_expr's layout without parentheses
+    (atoms joined by " # " into terms, terms joined by " x "), such as a
+    certificate's M and N, each term text parsed once while it is in the term
+    memo; None if the text is not in that layout."""
     factors: list[ManifoldExpr] = []
     for term in text.split(" x "):
         expr = _TERMS.get(term)
         if expr is None:
-            expr = _parse_term(term, atoms)
+            expr = _parse_term(term)
             if expr is None:
                 return None
             if len(term) <= _TERM_TEXT_MAX:
@@ -216,17 +206,15 @@ def _parse_canonical(text: str) -> ManifoldExpr | None:
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
-def _parse_term(term: str, atoms: dict[str, ManifoldExpr]) -> ManifoldExpr | None:
-    """The expression of one term text, its atoms looked up in and added to
-    ``atoms``; None if a piece is not an atom as print_expr writes it."""
+def _parse_term(term: str) -> ManifoldExpr | None:
+    """The expression of one term text, each distinct atom text parsed once;
+    None if a piece is not an atom as print_expr writes it."""
     pieces = term.split(" # ")
     counts: dict[ManifoldExpr, int] = {}
     for piece, k in Counter(pieces).items():
-        atom = atoms.get(piece)
-        if atom is None:
-            if not _ATOM_RE.fullmatch(piece):
-                return None
-            atom = atoms[piece] = _Parser(_tokenize(piece)).parse_atom()
+        if not _ATOM_RE.fullmatch(piece):
+            return None
+        atom = _Parser(_tokenize(piece)).parse_atom()
         # "K(2;1)" and "K(2;01)" are one atom: count per atom, not per text
         counts[atom] = counts.get(atom, 0) + k
     return atom if len(pieces) == 1 else ConnSum(counts)

@@ -79,11 +79,9 @@ class RuleApplication:
 
     A step is immutable: a frozen dataclass whose details are tuples of
     expressions, DegreeSets, strings, ints and bools, as every rule here builds
-    them.  Steps are shared between traces through the cache, so what is
-    computed from a step is kept on it: its hash, its written text
-    (``realiser._step_text``) and its recheck verdict
-    (``verify.check_certificate``).  A step must not be changed after it is
-    built.
+    them.  Steps are shared between traces through the cache, and values
+    computed from a step are kept on it, so a step must not be changed after
+    it is built.
     """
 
     rule: str

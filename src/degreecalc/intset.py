@@ -3,33 +3,11 @@
 A :class:`DegreeSet` is either a finite set of integers (stored as a sorted
 tuple) or the whole of the integers.  These are the values that degree-set
 computations produce, and every operation here is exact: there is no
-truncation, approximation, or silent wrap-around.
-
-The stored form is always the sorted element tuple, so equality, hashing and
-JSON do not depend on how a set was computed.  Minkowski sums, which connected
-sums of manifolds fold by the hundreds, go through one kernel,
-:func:`weighted_sumset`: inside it a finite set with minimum ``lo`` becomes
-the Python integer ``sum(1 << (x - lo))``, and adding a set is a shift-OR of
-the denser mask once for each element of the sparser one.  A part that is an
-arithmetic progression {0, h, ..., t}, such as a two-element set or an
-interval, is added with all its copies at once: n copies make the progression
-{0, h, ..., n * t}, which doubling shift-ORs add to the running mask in
-O(log(n * t / h)) steps.  A sum whose span is below :data:`_MASK_BITS` is
-always a shift-OR of masks: a mask that small costs little whatever its
-density.  Above that, sets whose span is large compared with their size stay
-element tuples and add pairwise, so a mask never grows far beyond the
-pairwise work it replaces.
-:func:`naive_sumset` keeps the plain pairwise sum as the reference that tests
-compare the kernel against.
-
-Elements are validated where they enter: the ``DegreeSet(...)`` constructor
-checks every element's type and the strict order, :meth:`DegreeSet.finite`
-and :func:`from_jsonable` check the types, and all three check the int64
-range.  The results of :func:`weighted_sumset` (so :func:`sumset`),
-:func:`intersect`, :func:`negate` and :func:`interval` are built from
-elements the kernel already holds sorted, distinct and in range, and skip
-those checks; the checks they still need (the sum's endpoints, the negated
-minimum, the interval's bounds and size) run before the result is built.
+truncation, approximation, or silent wrap-around.  Equality, hashing and JSON
+do not depend on how a set was computed, and every element is an int in the
+signed 64-bit range, checked where it enters.  :func:`naive_sumset` is the
+pairwise reference that tests compare the sum kernel :func:`weighted_sumset`
+against.
 """
 
 from __future__ import annotations
@@ -281,13 +259,9 @@ def _add(a: _Shape, b: _Shape) -> _Shape:
 
 
 def _progression(acc: _Shape, h: int, k: int) -> _Shape:
-    """acc + {0, h, 2h, ..., k * h} (k >= 1), by doubling shift-ORs.
-
-    The size rule is :func:`_add`'s: the mask is used when the span of the
-    result is below :data:`_MASK_BITS` or below the number of element pairs;
-    otherwise the progression's elements add pairwise.  Added to {0}, the
-    progression's mask is the geometric sum of 2**(i * h) for i <= k, built
-    in closed form.
+    """acc + {0, h, 2h, ..., k * h} (k >= 1), by doubling shift-ORs, as a mask
+    or pairwise by :func:`_add`'s size rule.  Added to {0}, the progression's
+    mask is the geometric sum of 2**(i * h) for i <= k, built in closed form.
     """
     if acc == 1:  # {0, h, ..., k * h} itself, in closed form below the mask limit
         if h == 1:

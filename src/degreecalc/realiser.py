@@ -14,30 +14,13 @@ Four families of target sets are supported:
 Each family has one construction, :func:`_sumset_construction` or
 :func:`_geometric_construction`, from the spec and the free choices (base
 genus, block primes) to M, N and the recorded params; the checker compares a
-certificate with it by equality.  Sumset constructions, geometric blocks and
-the circle bundles K(g; e) of both come from memos, so the realiser and the
-checker share M and N and the engine finds its cache keys equal by identity;
-each realisation gets its own copy of the params.  Every memo built from a
-genus keys on its type too, so what it builds holds the genus as given, an
-int subclass too.  The decoder never takes objects from these memos.
-A spec's fields are tuples of ints, bools excluded, so that specs are equal,
-as memo keys, only when they are written alike.  Every realisation returns a
+certificate with it by equality.  Every realisation returns a
 :class:`Certificate` whose derivation is the calculator's own trace; building
 one re-runs the calculator and demands an exact answer equal to the
 constructed target, so a certificate cannot be produced unless construction
-and calculus agree.  Every held value is written as its
-:func:`engine.json_view`: :func:`certificate_to_json` writes the
-``json.dumps(indent=2)`` text straight from the certificate, by
-:func:`json_text`, and only a JSON value written exactly so decodes.  Trace
-steps are immutable and shared between certificates through the engine cache,
-so a step's written text is kept on the step the first time it is written and
-reused on every later write.  A decoded certificate keeps its derivation as
-that JSON list of steps, and :func:`certificate_from_json` also keeps the text
-it decoded.  The checker takes the derivation to be a fresh trace when that
-text is the one :func:`json_text` writes for the certificate with the trace as
-its derivation (:func:`_written_with`): one string comparison, with the step
-texts kept.  Only otherwise does it compare the two by :func:`_same`, walking
-the decoded steps.
+and calculus agree.  :func:`certificate_to_json` writes a certificate as
+``json.dumps(certificate_to_jsonable(cert), indent=2)`` does, and only a JSON
+value written exactly so decodes.
 """
 
 from __future__ import annotations
@@ -156,15 +139,9 @@ RealisationSpec = SumsetFamily | ArithIntervals | SubsetSums | Geometric
 
 @dataclass(frozen=True)
 class Certificate:
-    """A realisation and the evidence for it.
-
-    A certificate decoded by :func:`certificate_from_json` keeps the text it
-    was decoded from.  The text is not a field: it takes no part in equality
-    or repr, and :func:`dataclasses.replace` and :func:`certificate_from_jsonable`
-    give certificates without one.  The checker trusts the text to be what the
-    fields were decoded from, so a decoded certificate must not be changed in
-    place, as a trace step must not be.
-    """
+    """A realisation and the evidence for it.  A decoded certificate must not
+    be changed in place, as a trace step must not be: the checker trusts the
+    text that :func:`certificate_from_json` keeps on it."""
 
     spec: RealisationSpec
     target: DegreeSet
@@ -237,8 +214,8 @@ def _sumset_construction(
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
     """M, N and params realising {sum m_i d_i | -n'_i <= m_i <= n_i} for the
     family of :func:`_sumset_family`, over base genus ``genus``, built once
-    while in the memo.  The params are the memo's own: only the checker,
-    which compares with them and keeps nothing, may take them from here.
+    while in the memo.  Each call gets its own params, their ``d_i_prime``
+    list copied too, so params edited in place differ from the construction.
 
     N is the bundle with Euler number d' = prod d_i; for each i, M gets n_i
     summands with Euler number d'/d_i and n'_i with -d'/d_i, so each summand
@@ -247,30 +224,32 @@ def _sumset_construction(
     """
     key = (spec, genus, type(genus))
     built = _CONSTRUCTIONS.get(key)
-    if built is not None:
-        return built
-    d, n, nprime = _sumset_family(spec)
-    d_prime = math.prod(d)
-    d_i_prime = [d_prime // x for x in d]
-    counts: dict[int, int] = {}  # Euler number -> summand count
-    for di_p, ni, npi in zip(d_i_prime, n, nprime):
-        counts[di_p] = counts.get(di_p, 0) + ni
-        counts[-di_p] = counts.get(-di_p, 0) + npi
-    params: dict[str, object] = {"d_prime": d_prime, "d_i_prime": d_i_prime, "base_genus": genus}
-    if any(counts.values()):
-        m_expr = normalize(_bundle_sum(genus, counts))
-    else:
-        # All multiplicities zero: the only representable value is 0, which a
-        # bundle pair with non-dividing Euler numbers realises exactly.
-        # d' + 1 is the smallest value > d' not dividing d'.
-        m_expr = _bundle(genus, d_prime + 1)
-        params["degenerate_euler"] = d_prime + 1
-    if isinstance(spec, ArithIntervals):
-        (n1, n2), (n1p, n2p) = n, nprime
-        params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p, zero_interval_index=n2p + 1)
-    elif isinstance(spec, SubsetSums):
-        params["dropped_zeros"] = spec.d.count(0)
-    return store(_CONSTRUCTIONS, key, (m_expr, _bundle(genus, d_prime), params), 64)
+    if built is None:
+        d, n, nprime = _sumset_family(spec)
+        d_prime = math.prod(d)
+        d_i_prime = [d_prime // x for x in d]
+        counts: dict[int, int] = {}  # Euler number -> summand count
+        for di_p, ni, npi in zip(d_i_prime, n, nprime):
+            counts[di_p] = counts.get(di_p, 0) + ni
+            counts[-di_p] = counts.get(-di_p, 0) + npi
+        params: dict[str, object] = dict(d_prime=d_prime, d_i_prime=d_i_prime, base_genus=genus)
+        if any(counts.values()):
+            m_expr = normalize(_bundle_sum(genus, counts))
+        else:
+            # All multiplicities zero: the only representable value is 0, which a
+            # bundle pair with non-dividing Euler numbers realises exactly.
+            # d' + 1 is the smallest value > d' not dividing d'.
+            m_expr = _bundle(genus, d_prime + 1)
+            params["degenerate_euler"] = d_prime + 1
+        if isinstance(spec, ArithIntervals):
+            (n1, n2), (n1p, n2p) = n, nprime
+            params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p)
+            params["zero_interval_index"] = n2p + 1
+        elif isinstance(spec, SubsetSums):
+            params["dropped_zeros"] = spec.d.count(0)
+        built = store(_CONSTRUCTIONS, key, (m_expr, _bundle(genus, d_prime), params), 64)
+    m_expr, n_expr, params = built
+    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
 
 
 _BUNDLES: dict[tuple[int, int, type], CircleBundle] = memo()
@@ -278,7 +257,9 @@ _BUNDLES: dict[tuple[int, int, type], CircleBundle] = memo()
 
 def _bundle(genus: int, e: int) -> CircleBundle:
     """K(genus; e), built once while in the bundle memo, so that every
-    construction shares it and engine cache keys match by identity."""
+    construction shares it and engine cache keys match by identity.  Like
+    every memo built from a genus, it keys on the genus's type too, so that
+    what it builds holds the genus as given."""
     key = (genus, e, type(genus))
     bundle = _BUNDLES.get(key)
     if bundle is None:
@@ -295,28 +276,20 @@ def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
     return ConnSum._trusted(summands)
 
 
-def _sumset_certificate(spec: SumsetFamily | ArithIntervals | SubsetSums) -> Certificate:
-    """The certificate of the spec's :func:`_sumset_construction`, with its own
-    params, their ``d_i_prime`` list copied too, so a certificate whose params
-    are edited in place still differs from the construction."""
-    m_expr, n_expr, params = _sumset_construction(spec, BASE_GENUS)
-    return _certified(spec, m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])})
-
-
 def realise_sumset(spec: SumsetFamily) -> Certificate:
     """Realise {sum m_i d_i | -n'_i <= m_i <= n_i} by :func:`_sumset_construction`."""
-    return _sumset_certificate(spec)
+    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
 
 
 def realise_arith_intervals(spec: ArithIntervals) -> Certificate:
     """Realise a union of equally spaced, equal-length integer intervals as
     the two-term sumset family of :func:`_sumset_family`."""
-    return _sumset_certificate(spec)
+    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
 
 
 def realise_subset_sums(spec: SubsetSums) -> Certificate:
     """Realise {sum over S of d_j | S a subset} by :func:`_sumset_construction`."""
-    return _sumset_certificate(spec)
+    return _certified(spec, *_sumset_construction(spec, BASE_GENUS))
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +502,7 @@ def json_text(v: object) -> str:
     """``json.dumps(engine.jsonable(v), indent=2)``, built from C-level
     pieces without building that value: every value is written as its
     :func:`engine.json_view`.  Object keys must be strings, and a value of
-    any other type raises TypeError, as it does in ``json.dumps``.  A trace
-    step's text is kept on the step, at the indent of a certificate's
-    derivation, the first time it is written; later writes reuse it.
+    any other type raises TypeError, as it does in ``json.dumps``.
     """
     return _json_text(v, "")
 
@@ -633,7 +604,8 @@ def certificate_from_jsonable(obj: object) -> Certificate:
 
 def certificate_from_json(text: str) -> Certificate:
     """Decode a certificate from its JSON text, and keep that text on it for
-    :func:`_written_with` (see :class:`Certificate`)."""
+    :func:`_written_with`.  The text is not a field: it takes no part in
+    equality or repr, and :func:`dataclasses.replace` drops it."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep

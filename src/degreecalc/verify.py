@@ -11,21 +11,16 @@ explicit error, never a silent truncation.
 calculator reproduces its target from (M, N), (b) the family oracle
 reproduces its target from the spec, and (c) the recorded derivation equals
 the calculator's trace for (M, N) step for step, in type too, and its steps
-re-validate.  The derivation is the trace when it is the trace object
-itself, or when the certificate was decoded from the text the writer gives
-it with that trace as its derivation (one string comparison,
-``realiser._written_with``); only otherwise are the decoded steps walked
-and compared with the trace by ``realiser._same``.  The steps re-validate by
-closed forms that never call the calculator: the Euler-number quotient for
-bundle pairs, summand containment for pinches and covering lifts, and for
-product steps the domination form (every later target factor has a bundle
-summand with non-zero Euler number) and the kill form
-(each earlier source factor has a recorded kill summand in each later target
-factor, to which every summand of that source, a bundle over the same base
-with non-zero Euler number, maps with closed form {0}).  The
-recorded free choices must be admissible -- a base genus g >= 2 and, for the
-geometric family, one prime per block, strictly ascending and above every
-d -- and M, N and every params key must then equal the realiser's
+re-validate.  The steps re-validate by closed forms that never call the
+calculator: the Euler-number quotient for bundle pairs, summand containment
+for pinches and covering lifts, and for product steps the domination form
+(every later target factor has a bundle summand with non-zero Euler number)
+and the kill form (each earlier source factor has a recorded kill summand in
+each later target factor, to which every summand of that source, a bundle
+over the same base with non-zero Euler number, maps with closed form {0}).
+The recorded free choices must be admissible -- a base genus g >= 2 and, for
+the geometric family, one prime per block, strictly ascending and above
+every d -- and M, N and every params key must then equal the realiser's
 construction for the spec and those choices, params values in type too.
 """
 

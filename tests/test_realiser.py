@@ -597,6 +597,19 @@ def test_checker_gets_the_realisers_construction_and_its_own_params():
     assert type(_sumset_construction(cert.spec, 2)[2]["base_genus"]) is int
 
 
+def test_each_construction_call_gets_its_own_params():
+    spec = ArithIntervals(((-3, -2), (0, 1), (3, 4)))
+    first = _sumset_construction(spec, 2)[2]
+    second = _sumset_construction(spec, 2)[2]
+    assert first is not second and first["d_i_prime"] is not second["d_i_prime"]
+    first["d_i_prime"].append(7)
+    assert second["d_i_prime"] == [3, 1]
+    assert _sumset_construction(spec, 2)[2] == second
+    cert = realise_arith_intervals(spec)
+    assert cert.params == second
+    assert verify.check_certificate(cert).ok
+
+
 def _bundles(m):
     return [s for s, _ in m.counts] if isinstance(m, ConnSum) else [m]
 

@@ -914,6 +914,15 @@ class TestWrittenText:
             assert any(m.startswith(message) for m in report.mismatches), report.mismatches
             assert not hasattr(bad, "_text")
 
+    @pytest.mark.xfail(
+        strict=True, reason="the checker trusts the kept text over an in-place edit of the steps"
+    )
+    def test_derivation_edited_in_place_is_rejected(self):
+        cert = certificate_from_json(_golden_text("geometric_2_3"))
+        cert.derivation[0]["rule"] = "constant_map"
+        cert.derivation.pop()
+        assert not verify.check_certificate(cert).ok
+
     @pytest.mark.parametrize("name", ["geometric_2_3", "subset_sums"])
     def test_unpickled_certificate_gets_the_same_report(self, name):
         payload = json.loads(_golden_text(name))
