@@ -36,6 +36,7 @@ from .manifold import (
     Product,
     Surface,
     UnsupportedExpression,
+    _state,
     dimension,
     is_pi2_trivial,
     is_product_domination_free,
@@ -92,15 +93,13 @@ class RuleApplication:
     def __hash__(self) -> int:
         # the dataclass's own hash, computed once: every level of a trace
         # dedups its children's steps, and a deep hash walks every input
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.rule, self.inputs, self.produced, self.details))
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self) -> dict:
-        # a string's hash differs between processes: a copy computes its own
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    __getstate__ = _state
 
     def detail(self, key: str, default: object = None) -> object:
         for k, v in self.details:

@@ -59,6 +59,23 @@ class CircleBundle:
             )
 
 
+def _hash_once(self: "ConnSum | Product") -> int:
+    """The dataclass's own hash of a sum or product, computed once and kept:
+    every cache lookup and step hash on a tree would otherwise walk all of it.
+    Read by ``getattr``, which builds no ``__dict__`` for the object."""
+    h = getattr(self, "_hash", None)
+    if h is None:
+        h = hash((self.counts,) if type(self) is ConnSum else (self.factors,))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+def _state(self: object) -> dict:
+    # the state without the kept hash: a copy or pickle computes its own, as
+    # a hash over strings differs between processes
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True, init=False)
 class ConnSum:
     """Connected sum of equal-dimension manifolds of dimension >= 2.
@@ -71,6 +88,8 @@ class ConnSum:
     """
 
     counts: tuple[tuple["ManifoldExpr", int], ...]
+    __hash__ = _hash_once
+    __getstate__ = _state
 
     def __init__(self, summands: Iterable["ManifoldExpr"]):
         counts = Counter(summands)
@@ -112,6 +131,8 @@ class Product:
     order."""
 
     factors: tuple["ManifoldExpr", ...]
+    __hash__ = _hash_once
+    __getstate__ = _state
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:

@@ -139,9 +139,10 @@ RealisationSpec = SumsetFamily | ArithIntervals | SubsetSums | Geometric
 
 @dataclass(frozen=True)
 class Certificate:
-    """A realisation and the evidence for it.  A decoded certificate must not
-    be changed in place, as a trace step must not be: the checker trusts the
-    text that :func:`certificate_from_json` keeps on it."""
+    """A realisation and the evidence for it.  The derivation is the
+    calculator's trace, a tuple of immutable steps, on a realised certificate
+    and on one decoded from the writer's text; otherwise it is the decoded
+    JSON list of steps."""
 
     spec: RealisationSpec
     target: DegreeSet
@@ -456,24 +457,6 @@ def _same(a: object, b: object) -> bool:
     return a == b
 
 
-# The whitespace JSON allows around a value.
-_JSON_SPACE = " \t\n\r"
-
-
-def _written_with(cert: Certificate, derivation: tuple[RuleApplication, ...]) -> bool:
-    """Whether ``cert`` was decoded from the text :func:`json_text` writes for
-    it with ``derivation`` as its derivation, up to whitespace at both ends.
-    Equal texts decode to equal values, in type too at every level, so the
-    decoded derivation is then ``derivation`` as :func:`_same` has it.  The
-    steps' texts are kept, so this walks no step."""
-    text = getattr(cert, "_text", None)
-    if text is None:
-        return False
-    layout = _layout(cert)
-    layout["derivation"] = derivation
-    return text == json_text(layout)
-
-
 def _layout(cert: Certificate) -> dict:
     """The certificate's JSON object, shallow: the keys in their written
     order, with the target still a DegreeSet, M and N expressions and the
@@ -571,8 +554,9 @@ def _step_text(step: RuleApplication, indent: str) -> str:
     return text
 
 
-def certificate_from_jsonable(obj: object) -> Certificate:
-    """Decode a certificate, provided it is written exactly as ``obj``."""
+def _checked_head(obj: object) -> tuple[RealisationSpec, DegreeSet, ManifoldExpr, ManifoldExpr]:
+    """The spec, target, M and N of a decoded certificate object, each decoded
+    and checked as every decoded certificate's are."""
     if not isinstance(obj, dict):
         raise MalformedCertificate(f"certificate must be an object, got {type(obj).__name__}")
     try:
@@ -580,6 +564,21 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         target = intset.from_jsonable(obj["target"])
         m = parse_expr(obj["M"])
         n = parse_expr(obj["N"])
+    except Exception as exc:
+        raise MalformedCertificate(f"cannot decode certificate: {exc}") from exc
+    if target.is_all:
+        raise MalformedCertificate("certificate target must be a finite set")
+    if 0 not in target:
+        raise MalformedCertificate("certificate target must contain 0")
+    if dimension(m) != dimension(n):
+        raise MalformedCertificate("certificate manifolds have different dimensions")
+    return spec, target, m, n
+
+
+def certificate_from_jsonable(obj: object) -> Certificate:
+    """Decode a certificate, provided it is written exactly as ``obj``."""
+    spec, target, m, n = _checked_head(obj)
+    try:
         steps = obj["derivation"]
         if not isinstance(steps, list):
             raise ValueError(f"derivation must be a list of steps, got {steps!r}")
@@ -591,26 +590,38 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         layout = _layout(cert)  # dict(params) raises on a params that is not an object
     except Exception as exc:
         raise MalformedCertificate(f"cannot decode certificate: {exc}") from exc
-    if target.is_all:
-        raise MalformedCertificate("certificate target must be a finite set")
-    if 0 not in target:
-        raise MalformedCertificate("certificate target must contain 0")
-    if dimension(m) != dimension(n):
-        raise MalformedCertificate("certificate manifolds have different dimensions")
     if not _same(layout, obj):
         raise MalformedCertificate("certificate is not in the form the realiser writes")
     return cert
 
 
+# Where the writer's text of a certificate turns to its derivation.  A JSON
+# string holds no raw newline, so the first match lies outside every string.
+_DERIVATION_KEY = ',\n  "derivation": ['
+
+
 def certificate_from_json(text: str) -> Certificate:
-    """Decode a certificate from its JSON text, and keep that text on it for
-    :func:`_written_with`.  The text is not a field: it takes no part in
-    equality or repr, and :func:`dataclasses.replace` drops it."""
+    """Decode a certificate from its JSON text.
+
+    The writer's text of a certificate whose derivation is the calculator's
+    trace for its M and N, up to whitespace at both ends, is decoded by
+    parsing the part before the derivation and running the calculator on M
+    and N, and the certificate holds that trace.  Any other text, and bytes,
+    decode by ``json.loads`` and :func:`certificate_from_jsonable`, with the
+    derivation as the decoded JSON list."""
+    if isinstance(text, str):
+        try:
+            stripped = text.strip(" \t\n\r")
+            head = json.loads(stripped.partition(_DERIVATION_KEY)[0] + "}")
+            spec, target, m, n = _checked_head(head)
+            trace = engine.degree_bounds(m, n).trace
+            cert = Certificate(spec, target, m, n, head["params"], trace)
+            if json_text(_layout(cert)) == stripped:
+                return cert
+        except Exception:
+            pass  # the full decoder gives the text its message
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
-    cert = certificate_from_jsonable(obj)
-    if isinstance(text, str):  # json.loads also takes bytes
-        object.__setattr__(cert, "_text", text.strip(_JSON_SPACE))
-    return cert
+    return certificate_from_jsonable(obj)

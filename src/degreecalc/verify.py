@@ -9,9 +9,10 @@ explicit error, never a silent truncation.
 
 :func:`check_certificate` accepts a certificate exactly when (a) the
 calculator reproduces its target from (M, N), (b) the family oracle
-reproduces its target from the spec, and (c) the recorded derivation equals
-the calculator's trace for (M, N) step for step, in type too, and its steps
-re-validate.  The steps re-validate by closed forms that never call the
+reproduces its target from the spec, and (c) the recorded derivation is the
+calculator's trace for (M, N), as a realised certificate's or one decoded
+from the writer's text is, or equals it step for step, in type too, and its
+steps re-validate.  The steps re-validate by closed forms that never call the
 calculator: the Euler-number quotient for bundle pairs, summand containment
 for pinches and covering lifts, and for product steps the domination form
 (every later target factor has a bundle summand with non-zero Euler number)
@@ -56,7 +57,6 @@ from .realiser import (
     _is_prime,
     _same,
     _sumset_construction,
-    _written_with,
 )
 
 DEFAULT_ENUM_CAP = 10**7
@@ -332,9 +332,7 @@ def check_certificate(cert: Certificate) -> Report:
     trace = engine_bound.trace
     if not cert.derivation:
         mismatches.append("derivation is empty")
-    elif not (
-        cert.derivation is trace or _written_with(cert, trace) or _same(cert.derivation, trace)
-    ):
+    elif not (cert.derivation is trace or _same(cert.derivation, trace)):
         pairs = enumerate(zip_longest(cert.derivation, trace), 1)
         step, got = next((i, got) for i, (got, want) in pairs if not _same(got, want))
         rule = "missing" if got is None else engine.json_view(got).get("rule")

@@ -1,13 +1,14 @@
 """Shared helpers: a seeded generator of random well-formed expressions, and
-checks of a decoded certificate with and without its written-text path."""
+checks of a certificate text decoded with and without the writer-text path."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from degreecalc import realiser, verify
+from degreecalc import cli, realiser, verify
 from degreecalc.engine import RuleApplication
 from degreecalc.manifold import (
     CIRCLE,
@@ -74,17 +75,22 @@ def _random_bundle_sum(rng: random.Random) -> ManifoldExpr:
     return conn_sum(*(CircleBundle(2, rng.choice(FACTOR_EULERS)) for _ in range(rng.randint(1, 3))))
 
 
+def decode_walked(text: str) -> realiser.Certificate:
+    """The full decoder, ``json.loads`` and ``certificate_from_jsonable``: the
+    certificate holds its derivation as decoded JSON, which the checker walks
+    by ``realiser._same``."""
+    return realiser.certificate_from_jsonable(json.loads(text))
+
+
 def force_walk(monkeypatch) -> None:
-    """Turn the checker's written-text path off, so that a decoded derivation
-    is always walked by ``realiser._same``."""
-    monkeypatch.setattr(verify, "_written_with", lambda cert, derivation: False)
+    """Turn the decoder's writer-text path off for the CLI and the library."""
+    monkeypatch.setattr(realiser, "certificate_from_json", decode_walked)
+    monkeypatch.setattr(cli, "certificate_from_json", decode_walked)
 
 
-def check_walked(cert) -> verify.Report:
-    """``check_certificate`` with the written-text path off."""
-    with pytest.MonkeyPatch.context() as mp:
-        force_walk(mp)
-        return verify.check_certificate(cert)
+def check_walked(text: str) -> verify.Report:
+    """``check_certificate`` of the text decoded by the full decoder."""
+    return verify.check_certificate(decode_walked(text))
 
 
 def report_key(report: verify.Report) -> tuple:
@@ -93,16 +99,26 @@ def report_key(report: verify.Report) -> tuple:
 
 @pytest.fixture
 def check_both_ways(request, monkeypatch):
-    """Make the requesting module's ``check_certificate`` check every decoded
-    certificate a second time with the text path forced off, and require the
-    same report both ways."""
+    """Make the requesting module's ``check_certificate`` check every
+    certificate its ``certificate_from_json`` decoded a second time, as the
+    full decoder decodes the certificate's text, and require the same report
+    both ways."""
+    decoded: dict[int, realiser.Certificate] = {}
+    decode = realiser.certificate_from_json
+
+    def decoding(text):
+        cert = decode(text)
+        decoded[id(cert)] = cert  # held, so that its id stays its own
+        return cert
 
     def check(cert):
         report = verify.check_certificate(cert)
-        if getattr(cert, "_text", None) is not None:
-            assert report_key(check_walked(cert)) == report_key(report)
+        if id(cert) in decoded:
+            walked = check_walked(realiser.certificate_to_json(cert))
+            assert report_key(walked) == report_key(report)
         return report
 
+    monkeypatch.setattr(request.module, "certificate_from_json", decoding)
     monkeypatch.setattr(request.module, "check_certificate", check)
 
 

@@ -508,19 +508,25 @@ class TestVerify:
                 "certificate target must be a finite set",
             ),
             (lambda c: {**c, "M": "S(2)"}, "certificate manifolds have different dimensions"),
+            (
+                lambda c: {**c, "target": {**c["target"], "elements": c["target"]["elements"][1:]}},
+                "certificate target must contain 0",
+            ),
         ],
-        ids=["not_an_object", "all_integers_target", "dimensions_differ"],
+        ids=["not_an_object", "all_integers_target", "dimensions_differ", "target_without_0"],
     )
     def test_certificate_without_a_checkable_pair_is_usage_error(
         self, capsys, tmp_path, edit, message
     ):
         payload = json.loads((GOLDEN / "geometric_2_3.json").read_text())
         out_path = tmp_path / "cert.json"
-        out_path.write_text(json.dumps(edit(payload)))
-        code, out, err = run(capsys, "verify", str(out_path))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
+        # compact, and in the writer's layout, which the decoder takes apart first
+        for indent in (None, 2):
+            out_path.write_text(json.dumps(edit(payload), indent=indent))
+            code, out, err = run(capsys, "verify", str(out_path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("cap", ["abc", "1e3"])
     def test_malformed_enum_cap_is_usage_error(self, capsys, tmp_path, monkeypatch, cap):

@@ -9,7 +9,10 @@ script prints the current digests in that file's form:
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from degreecalc.dsl import print_expr
@@ -247,6 +250,46 @@ def test_kept_step_hashes_are_the_dataclass_hashes():
 def test_sumset_certificates_decode_to_their_own_text():
     for text in sumset_certificates():
         assert certificate_to_json(certificate_from_json(text)) == text
+
+
+# Prints every recorded digest and, for each golden, its certificate JSON
+# and its `verify --json` report through the CLI and through the full decoder.
+_SEEDED_OUTPUTS = """
+import contextlib, io, json
+from conftest import decode_walked
+from degreecalc import cli, realiser, verify
+from test_digests import DIGEST_FUNCTIONS, GOLDEN
+from test_realiser import GOLDEN_CASES
+out = {name: fn() for name, fn in DIGEST_FUNCTIONS.items()}
+for name, make in sorted(GOLDEN_CASES.items()):
+    path = GOLDEN / f"{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()) as report:
+        code = cli.main(["verify", str(path), "--json"])
+    walked = verify.check_certificate(decode_walked(path.read_text(encoding="utf-8")))
+    out[name] = [realiser.certificate_to_json(make()) + "\\n", code, report.getvalue()]
+    out[name].append(realiser.json_text(walked.to_jsonable()) + "\\n")
+print(json.dumps(out))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SEEDED_OUTPUTS],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "777")
+    ]
+    outs = [json.loads(run.communicate(timeout=300)[0]) for run in runs]
+    assert outs[0] == outs[1]
+    assert {name: outs[0].pop(name) for name in DIGEST_FUNCTIONS} == json.loads(DIGESTS.read_text())
+    for name, (text, code, report, walked) in outs[0].items():
+        assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert (code, report) == (0, walked)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Expression trees: dimensions, canonical form, topological predicates."""
 
+import copy
+import pickle
 import random
 import time
 
@@ -256,3 +258,36 @@ class TestMultisetRepresentation:
         assert dimension(s) == 3
         assert is_product_domination_free(s)
         assert not is_pi2_trivial(s)
+
+
+def _sums_and_products(e):
+    """e and every sum and product nested in it."""
+    children = [s for s, _ in e.counts] if isinstance(e, ConnSum) else getattr(e, "factors", ())
+    own = [e] if isinstance(e, (ConnSum, Product)) else []
+    return own + [x for c in children for x in _sums_and_products(c)]
+
+
+class TestKeptHash:
+    def test_hash_is_the_dataclass_hash(self):
+        rng = random.Random(33)
+        for _ in range(500):
+            for e in _sums_and_products(random_expr(rng)):
+                fields = (e.counts,) if isinstance(e, ConnSum) else (e.factors,)
+                assert hash(e) == hash(fields) == e._hash, e
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_carry_no_kept_hash(self, duplicate):
+        rng = random.Random(34)
+        exprs = [e for e in (random_expr(rng) for _ in range(200)) if _sums_and_products(e)]
+        for e in exprs:
+            nested = _sums_and_products(e)
+            list(map(hash, nested))
+            again = duplicate(e)
+            # a shallow copy shares the nested nodes, and with them their hashes
+            fresh = [x for x in _sums_and_products(again) if not any(x is y for y in nested)]
+            assert fresh[0] is again and not any("_hash" in vars(x) for x in fresh)
+            assert again == e and hash(again) == hash(e)
