@@ -91,8 +91,8 @@ class RuleApplication:
     details: tuple[tuple[str, object], ...] = ()
 
     def __hash__(self) -> int:
-        # the dataclass's own hash, computed once: every level of a trace
-        # dedups its children's steps, and a deep hash walks every input
+        # the dataclass's own hash, computed once: each trace above a shared
+        # step that dedups (see _make_bound) hashes it, and a deep hash walks every input
         h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.rule, self.inputs, self.produced, self.details))
@@ -128,8 +128,13 @@ class SetBound:
 
 
 def _make_bound(
-    lower: DegreeSet, upper: Optional[DegreeSet], trace: list[RuleApplication]
+    lower: DegreeSet, upper: Optional[DegreeSet], trace: list[RuleApplication], distinct=False
 ) -> SetBound:
+    """Every rule's one exit: all of Z above an all-of-Z lower set, lower
+    checked against upper, and the trace without repeated steps.  The dedup
+    is skipped where no step can repeat: a one-step trace, and a ``distinct``
+    source-sum trace, whose children each gave one step on its own pair
+    (s, N), a distinct summand s each, beside the sum's own step on (M, N)."""
     if lower.is_all:
         upper = ALL_INTEGERS
     elif upper is not None and upper is not lower and not upper.is_all:
@@ -137,7 +142,8 @@ def _make_bound(
             raise EngineInvariantError(
                 f"lower bound {lower} escapes upper bound {upper}"
             )
-    return SetBound(lower, upper, tuple(dict.fromkeys(trace)))
+    unique = trace if distinct or len(trace) == 1 else dict.fromkeys(trace)
+    return SetBound(lower, upper, tuple(unique))
 
 
 # Cleared by name, not through MEMOS, so a dict put in its place is emptied.
@@ -222,8 +228,9 @@ def _bundle_pair(m: CircleBundle, n: CircleBundle) -> SetBound:
     i, j = m.euler, n.euler
     if m.base_genus == n.base_genus and i != 0:
         if j % i == 0:
-            result = DegreeSet.finite((0, j // i))
-            details = (("euler_source", i), ("euler_target", j), ("quotient", j // i))
+            q = intset._check_element(j // i)
+            result = intset._trusted((q, 0) if q < 0 else (0, q) if q else (0,))
+            details = (("euler_source", i), ("euler_target", j), ("quotient", q))
         else:
             result = ZERO_ONLY
             details = (("euler_source", i), ("euler_target", j))
@@ -271,13 +278,14 @@ def _fold_sumsets(parts: list[tuple[DegreeSet, int]]) -> DegreeSet:
 def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
     trace: list[RuleApplication] = []
     parts: list[tuple[DegreeSet, int]] = []
-    exact = True
+    exact = distinct = True
     summands = 0
     for s, count in m.counts:
         child = _bounds(s, n)
         trace.extend(child.trace)
         parts.append((child.lower, count))
         exact = exact and child.exact
+        distinct = distinct and len(child.trace) == 1
         summands += count
 
     lower = _fold_sumsets(parts)
@@ -296,7 +304,7 @@ def _source_conn_sum(m: ConnSum, n: ManifoldExpr) -> SetBound:
         ),
     )
     trace.append(entry)
-    return _make_bound(lower, upper, trace)
+    return _make_bound(lower, upper, trace, distinct)
 
 
 # ---------------------------------------------------------------------------

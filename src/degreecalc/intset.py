@@ -143,8 +143,8 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
     sum empty, and all of Z makes it all of Z.  The endpoints of the result
     are checked against the 64-bit range before any work is done.  A part
     that is an arithmetic progression adds all its copies in one step of
-    :func:`_progression`; any other part is doubled up to its count by
-    :func:`_n_fold`.
+    :func:`_progression`, or in one shift-OR for one copy of two elements on
+    a small mask; any other part is doubled up to its count by :func:`_n_fold`.
     """
     parts = [(p.elements, n) for p, n in parts if _count(n)]
     if any(p == () for p, _ in parts):
@@ -168,7 +168,9 @@ def weighted_sumset(parts: Iterable[tuple[DegreeSet, int]]) -> DegreeSet:
     acc: _Shape = 1  # the mask of {0}; a one-element part only moves lo
     for p, n in parts:
         if len(p) == 2:  # {0, h}: a progression, without building r
-            acc = _progression(acc, (p[1] - p[0]) // step, n)
+            h = (p[1] - p[0]) // step
+            one = n == 1 and type(acc) is int and acc.bit_length() + h <= _MASK_BITS
+            acc = acc | acc << h if one else _progression(acc, h, n)
             continue
         if len(p) == 1:
             continue

@@ -105,6 +105,11 @@ class TestCompute:
         assert code == 2
         assert "64-bit" in err
 
+    def test_bundle_quotient_outside_int64_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "compute", "K(2;1) -> K(2;99999999999999999999)")
+        assert code == 2 and out == ""
+        assert "element 99999999999999999999 exceeds the signed 64-bit range" in err
+
     def test_wide_sparse_sum_answers_quickly(self, capsys):
         # a bit mask over this span would need 4 * 10**12 bits
         start = time.perf_counter()

@@ -21,7 +21,14 @@ from degreecalc.engine import (
     degree_bounds,
     degree_set_exact,
 )
-from degreecalc.intset import ALL_INTEGERS, EMPTY, ZERO_ONLY, DegreeSet, naive_sumset
+from degreecalc.intset import (
+    ALL_INTEGERS,
+    EMPTY,
+    ZERO_ONLY,
+    DegreeSet,
+    IntegerOverflow,
+    naive_sumset,
+)
 from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
@@ -33,8 +40,10 @@ from degreecalc.manifold import (
     product,
     summand_multiset,
 )
+from degreecalc.realiser import SubsetSums, SumsetFamily, realise_subset_sums, realise_sumset
 
 from conftest import random_expr, random_factor_pairs
+from test_digests import product_pairs, target_sum_pairs
 
 fin = DegreeSet.finite
 
@@ -117,6 +126,32 @@ class TestCircleBundlePair:
                     assert flipped == fin([0, -(j // i)])
                 else:
                     assert got == fin([0])
+
+    def test_closed_form_edges(self):
+        # built without DegreeSet.finite: each set is the one finite() builds
+        for i, j, elements in [
+            (3, -6, (-2, 0)),
+            (-1, 5, (-5, 0)),
+            (-1, 2**63, (-(2**63), 0)),
+            (4, 0, (0,)),
+            (-4, 0, (0,)),
+            (1, 2**63 - 1, (0, 2**63 - 1)),
+        ]:
+            [step] = degree_bounds(K(2, i), K(2, j)).trace
+            assert step.produced.elements == elements
+            assert step.produced == DegreeSet(elements) == fin([0, j // i])
+            assert step.detail("quotient") == j // i
+
+    def test_closed_form_keeps_the_constructors_errors(self):
+        for i, j in [(1, 2**63), (-1, 2**63 + 1), (1, 10**20)]:
+            message = f"^element {j // i} exceeds the signed 64-bit range$"
+            with pytest.raises(IntegerOverflow, match=message):
+                degree_bounds(K(2, i), K(2, j))
+        # a float Euler number built in code: K(2;2.0) equals K(2;2) and hashes
+        # as it does, so only an empty cache computes its pair
+        engine.clear_cache()
+        with pytest.raises(TypeError, match="must be integers"):
+            degree_bounds(K(2, 2.0), K(2, 6))
 
     def test_euler_zero_source_left_open(self):
         bound = degree_bounds(K(2, 0), K(2, 5))
@@ -591,6 +626,48 @@ class TestInvariants:
     def test_exact_requires_meeting_bounds(self):
         bound = degree_bounds(K(2, 0), K(2, 5))
         assert bound.exact == (bound.upper is not None and bound.lower == bound.upper)
+
+    def test_no_trace_repeats_a_step(self, monkeypatch):
+        # _make_bound skips its dedup where no step can repeat, which holds
+        # only while a one-step trace is the rule's own step on its own pair:
+        # a rule that handed back a child's step as its own would break it
+        computed = []
+        compute = engine._compute
+
+        def recorded(m, n):
+            bound = compute(m, n)
+            computed.append(((m, n), bound))
+            return bound
+
+        monkeypatch.setattr(engine, "_compute", recorded)
+        engine.clear_cache()
+        rng = random.Random(24)
+        pairs = []
+        while len(pairs) < 300:
+            m, n = random_expr(rng), random_expr(rng)
+            if dimension(m) == dimension(n):
+                pairs.append((m, n))
+        for _ in range(100):
+            factors = random_factor_pairs(rng)
+            pairs += factors
+            pairs.append(tuple(product(*side) for side in zip(*factors)))
+        pairs += product_pairs() + target_sum_pairs()
+        for m, n in pairs:
+            degree_bounds(m, n)
+        for values in [(1, 2, 3), (5, -5, 7, 7, 0), tuple(range(-20, 21, 3))]:
+            realise_subset_sums(SubsetSums(values))
+        realise_sumset(SumsetFamily((2, 3), (40, 1), (3, 0)))
+
+        rules_seen = set()
+        for key, bound in computed:
+            trace = bound.trace
+            assert len(set(trace)) == len(trace), key
+            if len(trace) == 1:
+                assert trace[0].inputs == key, key
+            rules_seen.add((len(trace) == 1, trace[-1].rule))
+        assert (False, "connected_sum_source_sum") in rules_seen
+        assert (True, "circle_bundle_pair") in rules_seen
+        assert (False, "product_exactness_chain") in rules_seen
 
 
 def test_a_step_copied_into_another_process_hashes_as_it_does_there(tmp_path):

@@ -250,6 +250,41 @@ class TestSumKernel:
                     ):
                         assert weighted_sumset(parts) == reference_fold(parts), parts
 
+    def test_one_copy_pairs_match_naive(self, monkeypatch):
+        # Subset-sum-like folds of one-copy parts {a, a + h}, h of either
+        # sign, some with a common step: each is one shift-OR while the span
+        # stays below _MASK_BITS and a _progression call from there on.
+        limit = intset._MASK_BITS
+        calls = []
+        progression = intset._progression
+
+        def counted(acc, h, k):
+            calls.append((acc, h, k))
+            return progression(acc, h, k)
+
+        monkeypatch.setattr(intset, "_progression", counted)
+        # {0, 2, 5, 7} and then a part that takes the span to limit - 1
+        # (inline), limit or limit + 1
+        for span in (limit - 1, limit, limit + 1):
+            calls.clear()
+            parts = [(fin([0, 5]), 1), (fin([-3, -1]), 1), (fin([7, span]), 1)]
+            assert weighted_sumset(parts) == reference_fold(parts)
+            assert len(calls) == (span >= limit), span
+        rng = random.Random(43)
+        spans = []
+        for _ in range(40):
+            scale = rng.choice([1, 1, 3])
+            parts = []
+            for _ in range(rng.randint(2, 24)):
+                a, h = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, limit // 6)
+                parts.append((fin([scale * a, scale * (a + h)]), 1))
+            calls.clear()
+            assert weighted_sumset(parts) == reference_fold(parts), parts
+            span = sum(p.elements[1] - p.elements[0] for p, _ in parts) // scale
+            spans.append((span, len(calls), len(parts)))
+        assert any(span < limit and not n for span, n, _ in spans)
+        assert any(span >= limit and 0 < n < count for span, n, count in spans)
+
     def test_counts_must_be_non_negative_ints(self):
         for p in (fin([0, 2]), fin([0, 1]), fin([0, 1, 3]), EMPTY, ALL_INTEGERS):
             for n in (-1, -3):
