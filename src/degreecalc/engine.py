@@ -605,8 +605,8 @@ def json_view(v: object) -> object:
     """How a held value is written, one level down: a trace step is its object
     (keys in written order, values as held), a DegreeSet :func:`intset.to_jsonable`,
     an expression its :func:`print_expr` text, and any other value itself.  It is
-    shallow so that ``realiser.json_text`` and ``realiser._same`` can walk the
-    written form without building it; :func:`jsonable` builds it."""
+    shallow so that ``realiser.json_text`` and a JSON encoder's ``default`` can
+    write the form without building it; :func:`jsonable` builds it."""
     t = type(v)
     if t is RuleApplication:
         details = dict(v.details)

@@ -435,26 +435,24 @@ def spec_from_jsonable(obj: object) -> RealisationSpec:
     return cls(*(_int_tuples(obj[f.name], f.type.count("tuple[")) for f in fields(cls)))
 
 
-_JSON_TYPES = {str, int, float, bool, type(None), list, dict}
+_escape = json.encoder.encode_basestring_ascii
+# The canonical text of a value, in pieces: the C encoder of JSONEncoder(sort_keys=True,
+# allow_nan=False, check_circular=False, default=engine.json_view), built once
+# rather than at every encode call.  It writes 1, 1.0 and true apart.
+_canonical = json.encoder.c_make_encoder(
+    None, engine.json_view, _escape, None, ": ", ", ", True, False, False
+)
 
 
 def _same(a: object, b: object) -> bool:
     """Whether a and b are written as the same JSON, in type too at every level
-    (a recorded 0 is not false, 1.0 not 1): held values compare in their
-    :func:`engine.json_view`, and a tuple as the list it is written as."""
-    if a is b:
-        return True
-    t = type(a)
-    if t is not type(b) or t not in _JSON_TYPES:
-        a, b = engine.json_view(a), engine.json_view(b)
-        t = list if type(a) is tuple else type(a)
-        if t is not (list if type(b) is tuple else type(b)):
-            return False
-    if t is dict:
-        return a.keys() == b.keys() and all(a[k] is b[k] or _same(a[k], b[k]) for k in a)
-    if t is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
+    (a recorded 0 is not false, 1.0 not 1), by their canonical texts.  A value
+    with no JSON text (NaN or an infinity, a cycle, keys of mixed types, a
+    type the writer does not write) is the same only as itself."""
+    try:
+        return a is b or "".join(_canonical(a, 0)) == "".join(_canonical(b, 0))
+    except (ValueError, TypeError, RecursionError):
+        return False
 
 
 def _layout(cert: Certificate) -> dict:
@@ -492,7 +490,6 @@ def json_text(v: object) -> str:
 
 # On Python 3.11, ``json.dumps`` takes its pure-Python encoder whenever it
 # indents; the pieces below are C functions or single calls.
-_escape = json.encoder.encode_basestring_ascii
 _INT_ONLY = {int}
 
 
@@ -590,7 +587,9 @@ def certificate_from_jsonable(obj: object) -> Certificate:
         layout = _layout(cert)  # dict(params) raises on a params that is not an object
     except Exception as exc:
         raise MalformedCertificate(f"cannot decode certificate: {exc}") from exc
-    if not _same(layout, obj):
+    # params and derivation are held as decoded, for the checker to compare
+    own = {"params": None, "derivation": None}
+    if type(obj["params"]) is not dict or not _same(layout | own, obj | own):
         raise MalformedCertificate("certificate is not in the form the realiser writes")
     return cert
 

@@ -11,7 +11,7 @@ explicit error, never a silent truncation.
 calculator reproduces its target from (M, N), (b) the family oracle
 reproduces its target from the spec, and (c) the recorded derivation is the
 calculator's trace for (M, N), as a realised certificate's or one decoded
-from the writer's text is, or equals it step for step, in type too, and its
+from the writer's text is, or has the trace's canonical JSON text, and its
 steps re-validate.  The steps re-validate by closed forms that never call the
 calculator: the Euler-number quotient for bundle pairs, summand containment
 for pinches and covering lifts, and for product steps the domination form
@@ -295,16 +295,13 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
         problems.append(f"target is not the construction's {print_expr(n)}")
     if cert.m is not m and cert.m != m:
         problems.append("source summands do not match the family multiplicities")
-    if not _same(params, expected):
-        for key in {**expected, **params}:
-            if key not in params:
-                problems.append(f"params missing {key!r}")
-            elif key not in expected:
-                problems.append(f"params key {key!r} is not part of the construction")
-            elif not _same(params[key], expected[key]):
-                problems.append(
-                    f"{key} {params[key]!r} is not the construction's {expected[key]!r}"
-                )
+    for key in {**expected, **params}:
+        if key not in params:
+            problems.append(f"params missing {key!r}")
+        elif key not in expected:
+            problems.append(f"params key {key!r} is not part of the construction")
+        elif not _same(params[key], expected[key]):
+            problems.append(f"{key} {params[key]!r} is not the construction's {expected[key]!r}")
 
 
 def check_certificate(cert: Certificate) -> Report:
@@ -333,9 +330,11 @@ def check_certificate(cert: Certificate) -> Report:
     if not cert.derivation:
         mismatches.append("derivation is empty")
     elif not (cert.derivation is trace or _same(cert.derivation, trace)):
-        pairs = enumerate(zip_longest(cert.derivation, trace), 1)
+        missing = object()  # no JSON text, so no entry, None included, is the same as it
+        pairs = enumerate(zip_longest(cert.derivation, trace, fillvalue=missing), 1)
         step, got = next((i, got) for i, (got, want) in pairs if not _same(got, want))
-        rule = "missing" if got is None else engine.json_view(got).get("rule")
+        view = {"rule": "missing"} if got is missing else engine.json_view(got)
+        rule = view.get("rule") if isinstance(view, dict) else repr(view)
         mismatches.append(
             f"derivation step {step} is {rule}, not the calculator's trace for (M, N)"
         )

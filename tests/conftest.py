@@ -77,7 +77,7 @@ def _random_bundle_sum(rng: random.Random) -> ManifoldExpr:
 
 def decode_walked(text: str) -> realiser.Certificate:
     """The full decoder, ``json.loads`` and ``certificate_from_jsonable``: the
-    certificate holds its derivation as decoded JSON, which the checker walks
+    certificate holds its derivation as decoded JSON, which the checker compares
     by ``realiser._same``."""
     return realiser.certificate_from_jsonable(json.loads(text))
 
@@ -122,13 +122,21 @@ def check_both_ways(request, monkeypatch):
     monkeypatch.setattr(request.module, "check_certificate", check)
 
 
+def _has_steps(v: object) -> bool:
+    """Whether ``v`` is a trace step or a sequence holding one."""
+    if isinstance(v, (list, tuple)):
+        return any(type(x) is RuleApplication for x in v)
+    return type(v) is RuleApplication
+
+
 def count_step_comparisons(monkeypatch) -> list:
-    """A list that grows at each ``realiser._same`` call on a trace step."""
+    """A list that grows at each ``realiser._same`` call on a trace step or on
+    a list of steps, as the whole-derivation comparison is."""
     calls = []
     same = realiser._same
 
     def counting(a, b):
-        if type(a) is RuleApplication or type(b) is RuleApplication:
+        if _has_steps(a) or _has_steps(b):
             calls.append((a, b))
         return same(a, b)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import engine, realiser, verify
+from degreecalc import engine, intset, realiser, verify
 from degreecalc.engine import RuleApplication
 from degreecalc.intset import DegreeSet
 from degreecalc.manifold import CircleBundle, conn_sum, dimension, product
@@ -200,6 +200,29 @@ class TestHelpers:
 
     def test_interval_union(self):
         assert interval_union(((-2, -1), (1, 2))) == fin([-2, -1, 1, 2])
+
+    def test_oracles_call_neither_the_calculator_nor_set_sums_or_products(self, monkeypatch):
+        specs = [
+            SumsetFamily((1, 3), (0, 2), (0, 1)),
+            ArithIntervals(((-2, -1), (0, 1), (2, 3))),
+            SubsetSums((-2, 0, 3)),
+            Geometric((2, 3)),
+        ]
+        answers = [oracle_set(spec) for spec in specs]
+
+        def forbidden(*args):
+            raise AssertionError("an oracle called the calculator or a set operation")
+
+        for module, name in [
+            (verify, "degree_bounds"),
+            (engine, "degree_bounds"),
+            (engine, "_bounds"),
+            (intset, "sumset"),
+            (intset, "weighted_sumset"),
+            (intset, "product_set"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert [oracle_set(spec) for spec in specs] == answers
 
 
 class TestCheckCertificate:
@@ -592,6 +615,139 @@ class TestCheckCertificate:
         assert any("contains 0" in m for m in report.mismatches)
 
 
+class Genus(int):
+    """An int subclass with a repr of its own, held as a base genus."""
+
+    def __repr__(self):
+        return f"Genus({int(self)})"
+
+
+def _step_edit(key, value):
+    """Set the second step's ``key`` detail, or its first produced element, to ``value``."""
+
+    def edit(payload):
+        step = payload["derivation"][1]
+        if key == "produced":
+            step["produced"]["elements"][0] = value
+        else:
+            step["details"][key] = value
+
+    return edit
+
+
+def _params_edit(key, value):
+    return lambda payload: payload["params"].__setitem__(key, value)
+
+
+_STEP_2 = "derivation step 2 is circle_bundle_pair, not the calculator's trace for (M, N)"
+
+
+class TestWrittenValues:
+    """Params and derivation steps are the construction's and the trace's
+    only as written JSON, in type too, whichever way the text is laid out."""
+
+    @pytest.mark.parametrize("layout", [2, None], ids=["writer", "compact"])
+    @pytest.mark.parametrize(
+        "edit, mismatches",
+        [
+            (_params_edit("n1", True), ("n1 True is not the construction's 1",)),
+            (_params_edit("n2", 1.0), ("n2 1.0 is not the construction's 1",)),
+            (_params_edit("base_genus", True), ("base genus True is not hyperbolic",)),
+            (_params_edit("d_prime", -0.0), ("d_prime -0.0 is not the construction's 2",)),
+            (_params_edit("d_prime", float("nan")), ("d_prime nan is not the construction's 2",)),
+            (_params_edit("d_prime", float("inf")), ("d_prime inf is not the construction's 2",)),
+            (_params_edit("base_genus", float("nan")), ("base genus nan is not hyperbolic",)),
+            (_params_edit("extra", float("-inf")), ("params key 'extra' is not part of the construction",)),
+            (_step_edit("euler_source", True), (_STEP_2,)),
+            (_step_edit("euler_source", 1.0), (_STEP_2,)),
+            (_step_edit("euler_source", float("nan")), (_STEP_2,)),
+            (_step_edit("produced", -0.0), (_STEP_2,)),
+            (lambda payload: None, ()),
+        ],
+        ids=[
+            "params_true_for_1", "params_float_for_int", "genus_true", "params_negative_zero",
+            "params_nan", "params_infinity", "genus_nan", "extra_key_infinity", "step_true_for_1",
+            "step_float_for_int", "step_nan", "step_negative_zero", "unedited",
+        ],
+    )
+    def test_edited_value_gets_its_report_in_either_layout(self, layout, edit, mismatches):
+        payload = json.loads(certificate_to_json(PARAMS_CERTS["intervals"]))
+        edit(payload)
+        text = json.dumps(payload, indent=layout)
+        assert check_certificate(certificate_from_json(text)).mismatches == mismatches
+
+    @pytest.mark.parametrize("layout", [2, None], ids=["writer", "compact"])
+    @pytest.mark.parametrize("name", ["geometric_2_3", "intervals"])
+    def test_reordered_keys_pass_in_either_layout(self, layout, name):
+        payload = json.loads(_golden_text(name))
+        payload = {
+            **dict(reversed(payload.items())),
+            "params": dict(reversed(payload["params"].items())),
+            "derivation": [dict(reversed(s.items())) for s in payload["derivation"]],
+        }
+        assert check_certificate(certificate_from_json(json.dumps(payload, indent=layout))).ok
+
+    @pytest.mark.parametrize("genus", [Genus(2), Genus(3)], ids=["same", "other"])
+    def test_int_subclass_genus_is_checked_as_its_value(self, genus):
+        cert = PARAMS_CERTS["geometric"]
+        report = check_certificate(dataclasses.replace(cert, params={**cert.params, "base_genus": genus}))
+        if genus == 2:
+            assert report.ok, report.mismatches
+        else:
+            target, source = report.mismatches
+            assert target.startswith("target is not the construction's K(Genus(3);")
+            assert source == "source summands do not match the family multiplicities"
+
+    @pytest.mark.parametrize("kind", ["geometric", "intervals"])
+    def test_trailing_none_entry_is_a_mismatch(self, kind):
+        cert = PARAMS_CERTS[kind]
+        bad = dataclasses.replace(cert, derivation=cert.derivation + (None,))
+        assert check_certificate(bad).mismatches == (
+            f"derivation step {len(cert.derivation) + 1} is None, "
+            "not the calculator's trace for (M, N)",
+        )
+
+    @pytest.mark.parametrize(
+        "entry, shown", [("x", "'x'"), (1, "1"), ({1, 2}, "{1, 2}")], ids=["text", "number", "set"]
+    )
+    @pytest.mark.parametrize("kind", ["geometric", "intervals"])
+    def test_entry_that_is_not_a_step_is_a_mismatch(self, kind, entry, shown):
+        cert = PARAMS_CERTS[kind]
+        steps = cert.derivation[:1] + (entry,) + cert.derivation[2:]
+        assert check_certificate(dataclasses.replace(cert, derivation=steps)).mismatches == (
+            f"derivation step 2 is {shown}, not the calculator's trace for (M, N)",
+        )
+
+    @pytest.mark.parametrize("kind", ["geometric", "intervals"])
+    def test_value_of_no_json_type_is_a_mismatch(self, kind):
+        cert = PARAMS_CERTS[kind]
+        key = "d_core" if kind == "geometric" else "d_i_prime"
+        thing = object()
+        bad = dataclasses.replace(cert, derivation=(thing,) + cert.derivation[1:])
+        assert check_certificate(bad).mismatches == (
+            f"derivation step 1 is {thing!r}, not the calculator's trace for (M, N)",
+        )
+        for value in ({2, 3}, thing):
+            bad = dataclasses.replace(cert, params={**cert.params, key: value})
+            assert check_certificate(bad).mismatches == (
+                f"{key} {value!r} is not the construction's {cert.params[key]!r}",
+            )
+
+    def test_where_the_written_rule_differs_from_python_equality(self):
+        same = realiser._same
+        nan = float("nan")
+        assert same(nan, nan)  # one object
+        assert not same(nan, float("nan"))
+        assert not same(float("inf"), float("inf"))
+        assert not same(-0.0, 0.0)
+        assert not same(1.0, 1) and not same(True, 1) and not same({"a": 1}, {1: 1, "a": 1})
+        assert same(Genus(2), 2) and same((1, [2]), [1, (2,)]) and same({"a": 1, "b": 2}, {"b": 2, "a": 1})
+        assert not same({1}, {1}) and not same(object(), object())
+        loop = []
+        loop.append(loop)
+        assert same(loop, loop) and not same(loop, [[]])
+
+
 K = CircleBundle
 
 
@@ -860,7 +1016,7 @@ _EDITS = {
 class TestWrittenText:
     """A certificate decoded from the writer's text holds the calculator's
     trace as its derivation, and the checker takes it by identity; every other
-    text decodes to JSON steps that ``_same`` walks, and both ways give the
+    text decodes to JSON steps that ``_same`` compares, and both ways give the
     same report."""
 
     def test_text_path_gives_the_walks_report(self):
@@ -945,7 +1101,7 @@ class TestWrittenText:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cert.derivation[0], edit, None)
         assert verify.check_certificate(cert).ok
-        # any other text decodes to JSON steps, which the checker walks
+        # any other text decodes to JSON steps, which the checker compares
         cert = certificate_from_json(json.dumps(json.loads(_golden_text("geometric_2_3"))))
         assert verify.check_certificate(cert).ok
         _EDITS[edit](cert.derivation)
