@@ -36,7 +36,7 @@ from .manifold import (
     Product,
     Surface,
     UnsupportedExpression,
-    _state,
+    _kept_hash,
     dimension,
     is_pi2_trivial,
     is_product_domination_free,
@@ -74,6 +74,7 @@ RULE_NAMES = frozenset(
 )
 
 
+@_kept_hash
 @dataclass(frozen=True)
 class RuleApplication:
     """One rule firing: which rule, on what inputs, producing which degrees.
@@ -90,22 +91,8 @@ class RuleApplication:
     produced: DegreeSet
     details: tuple[tuple[str, object], ...] = ()
 
-    def __hash__(self) -> int:
-        # the dataclass's own hash, computed once: each trace above a shared
-        # step that dedups (see _make_bound) hashes it, and a deep hash walks every input
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.rule, self.inputs, self.produced, self.details))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    __getstate__ = _state
-
     def detail(self, key: str, default: object = None) -> object:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
+        return dict(self.details).get(key, default)
 
 
 @dataclass(frozen=True)

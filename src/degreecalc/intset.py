@@ -41,7 +41,7 @@ class InvalidInterval(ValueError):
 
 
 def _check_element(x: int) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
+    if type(x) is not int:
         raise TypeError(f"set elements must be integers, got {x!r}")
     if x < INT64_MIN or x > INT64_MAX:
         raise IntegerOverflow(f"element {x} exceeds the signed 64-bit range")

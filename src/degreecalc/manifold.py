@@ -3,11 +3,12 @@
 The expression language covers exactly the families the degree calculus
 handles: the circle, closed oriented surfaces, oriented circle bundles over
 hyperbolic surfaces, connected sums, and direct products.  Values are
-immutable, hashable and canonical by construction: a connected sum is stored
-as the sorted multiset of its summands with nested sums merged in, and a
-product stores its factors flattened and sorted, so structurally equal
-manifolds compare equal.  The one non-canonical value a constructor still
-builds is a one-summand sum, which :func:`normalize` collapses.
+immutable, hashable and canonical by construction, with a plain int in every
+field and count: a connected sum is stored as the sorted multiset of its
+summands with nested sums merged in, and a product stores its factors
+flattened and sorted, so structurally equal manifolds compare and print alike.
+The one non-canonical value a constructor still builds is a one-summand sum,
+which :func:`normalize` collapses.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class Surface:
     genus: int
 
     def __post_init__(self) -> None:
+        if type(self.genus) is not int:
+            raise MalformedExpr(f"surface genus must be an int, got {self.genus!r}")
         if self.genus < 0:
             raise MalformedExpr(f"surface genus must be >= 0, got {self.genus}")
 
@@ -53,29 +56,35 @@ class CircleBundle:
     euler: int
 
     def __post_init__(self) -> None:
+        if not type(self.base_genus) is type(self.euler) is int:
+            raise MalformedExpr(f"circle bundle fields must be ints, got {self!r}")
         if self.base_genus < 2:
-            raise MalformedExpr(
-                f"circle bundle base genus must be >= 2, got {self.base_genus}"
-            )
+            raise MalformedExpr(f"circle bundle base genus must be >= 2, got {self.base_genus}")
 
 
-def _hash_once(self: "ConnSum | Product") -> int:
-    """The dataclass's own hash of a sum or product, computed once and kept:
-    every cache lookup and step hash on a tree would otherwise walk all of it.
-    Read by ``getattr``, which builds no ``__dict__`` for the object."""
-    h = getattr(self, "_hash", None)
-    if h is None:
-        h = hash((self.counts,) if type(self) is ConnSum else (self.factors,))
-        object.__setattr__(self, "_hash", h)
-    return h
+def _kept_hash(cls: type) -> type:
+    """Make a frozen dataclass keep its own hash once computed: every cache
+    lookup and step hash on a tree would otherwise walk all of it.  The kept
+    hash is read by ``getattr``, which builds no ``__dict__`` for the object,
+    and left out of the state, so a copy or pickle computes its own, as a hash
+    over strings differs between processes."""
+    dataclass_hash = cls.__hash__
+
+    def __hash__(self: object) -> int:
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = dataclass_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self: object) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
-def _state(self: object) -> dict:
-    # the state without the kept hash: a copy or pickle computes its own, as
-    # a hash over strings differs between processes
-    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
-
+@_kept_hash
 @dataclass(frozen=True, init=False)
 class ConnSum:
     """Connected sum of equal-dimension manifolds of dimension >= 2.
@@ -88,11 +97,11 @@ class ConnSum:
     """
 
     counts: tuple[tuple["ManifoldExpr", int], ...]
-    __hash__ = _hash_once
-    __getstate__ = _state
 
     def __init__(self, summands: Iterable["ManifoldExpr"]):
         counts = Counter(summands)
+        if set(map(type, counts.values())) - {int}:
+            raise MalformedExpr(f"connected sum counts must be ints, got {list(counts.values())}")
         for inner in [s for s in counts if isinstance(s, ConnSum)]:
             c = counts.pop(inner)
             for s, k in inner.counts:
@@ -124,6 +133,7 @@ class ConnSum:
         return tuple(s for s, c in self.counts for _ in range(c))
 
 
+@_kept_hash
 @dataclass(frozen=True)
 class Product:
     """Direct product of at least two manifolds, stored with one-summand
@@ -131,8 +141,6 @@ class Product:
     order."""
 
     factors: tuple["ManifoldExpr", ...]
-    __hash__ = _hash_once
-    __getstate__ = _state
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:

@@ -223,7 +223,7 @@ def _sumset_construction(
     contributes {0, d_i} or {0, -d_i} and the contributions add over the
     connected sum.
     """
-    key = (spec, genus, type(genus))
+    key = (spec, genus)
     built = _CONSTRUCTIONS.get(key)
     if built is None:
         d, n, nprime = _sumset_family(spec)
@@ -253,15 +253,13 @@ def _sumset_construction(
     return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
 
 
-_BUNDLES: dict[tuple[int, int, type], CircleBundle] = memo()
+_BUNDLES: dict[tuple[int, int], CircleBundle] = memo()
 
 
 def _bundle(genus: int, e: int) -> CircleBundle:
     """K(genus; e), built once while in the bundle memo, so that every
-    construction shares it and engine cache keys match by identity.  Like
-    every memo built from a genus, it keys on the genus's type too, so that
-    what it builds holds the genus as given."""
-    key = (genus, e, type(genus))
+    construction shares it and engine cache keys match by identity."""
+    key = (genus, e)
     bundle = _BUNDLES.get(key)
     if bundle is None:
         bundle = store(_BUNDLES, key, CircleBundle(genus, e))
@@ -334,7 +332,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_BLOCKS: dict[tuple[int, int, int, type], tuple[ManifoldExpr, ManifoldExpr]] = memo()
+_BLOCKS: dict[tuple[int, int, int], tuple[ManifoldExpr, ManifoldExpr]] = memo()
 
 
 def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
@@ -343,7 +341,7 @@ def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, Manifol
     and a certificate under check may record any integer q.  Built once while
     in the block memo, so the realiser and the checker share the blocks, and
     with them each block's kept text and equality by identity."""
-    key = (d, q, genus, type(genus))
+    key = (d, q, genus)
     blocks = _BLOCKS.get(key)
     if blocks is None:
         source = Counter({q: d})

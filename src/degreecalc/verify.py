@@ -19,10 +19,10 @@ for pinches and covering lifts, and for product steps the domination form
 and the kill form (each earlier source factor has a recorded kill summand in
 each later target factor, to which every summand of that source, a bundle
 over the same base with non-zero Euler number, maps with closed form {0}).
-The recorded free choices must be admissible -- a base genus g >= 2 and, for
-the geometric family, one prime per block, strictly ascending and above
-every d -- and M, N and every params key must then equal the realiser's
-construction for the spec and those choices, params values in type too.
+The recorded free choices must be admissible -- an int base genus g >= 2
+and, for the geometric family, one prime per block, strictly ascending and
+above every d -- and M, N and each params value, in type too, must then
+equal the realiser's construction for the spec and those choices.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product as iter_product, zip_longest
 from typing import Optional, Sequence
@@ -266,8 +267,11 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
     """The recorded free choices (base genus, geometric primes) must be
     admissible; M, N and the params must then equal the construction's."""
     spec, params = cert.spec, cert.params
+    if not isinstance(params, Mapping):
+        problems.append(f"params {params!r} is not a mapping")
+        return
     genus = params.get("base_genus")
-    if not (isinstance(genus, int) and genus >= 2):
+    if not (type(genus) is int and genus >= 2):
         problems.append(f"base genus {genus!r} is not hyperbolic")
         return
     if isinstance(spec, Geometric):
@@ -329,6 +333,8 @@ def check_certificate(cert: Certificate) -> Report:
     trace = engine_bound.trace
     if not cert.derivation:
         mismatches.append("derivation is empty")
+    elif not isinstance(cert.derivation, Iterable):
+        mismatches.append(f"derivation {cert.derivation!r} is not a list of steps")
     elif not (cert.derivation is trace or _same(cert.derivation, trace)):
         missing = object()  # no JSON text, so no entry, None included, is the same as it
         pairs = enumerate(zip_longest(cert.derivation, trace, fillvalue=missing), 1)

@@ -33,6 +33,7 @@ from degreecalc.manifold import (
     CIRCLE,
     CircleBundle,
     ConnSum,
+    MalformedExpr,
     Surface,
     conn_sum,
     dimension,
@@ -147,10 +148,8 @@ class TestCircleBundlePair:
             message = f"^element {j // i} exceeds the signed 64-bit range$"
             with pytest.raises(IntegerOverflow, match=message):
                 degree_bounds(K(2, i), K(2, j))
-        # a float Euler number built in code: K(2;2.0) equals K(2;2) and hashes
-        # as it does, so only an empty cache computes its pair
-        engine.clear_cache()
-        with pytest.raises(TypeError, match="must be integers"):
+        # a float Euler number never reaches a pair: the bundle is refused as built
+        with pytest.raises(MalformedExpr, match="must be ints"):
             degree_bounds(K(2, 2.0), K(2, 6))
 
     def test_euler_zero_source_left_open(self):

@@ -389,6 +389,16 @@ class TestInterval:
         with pytest.raises(TypeError):
             interval(True, 3)
 
+    def test_int_subclass_bounds_are_refused_as_finite_refuses_them(self):
+        class G(int):
+            pass
+
+        for lo, hi in [(G(1), 3), (1, G(3))]:
+            with pytest.raises(TypeError, match="must be integers"):
+                interval(lo, hi)
+            with pytest.raises(TypeError, match="must be integers"):
+                DegreeSet.finite([lo, hi])
+
     def test_more_elements_than_a_tuple_holds_is_overflow(self):
         # raised before any range is built
         for lo, hi in [(0, INT64_MAX), (INT64_MIN, 0), (INT64_MIN, INT64_MAX)]:

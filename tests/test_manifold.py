@@ -25,6 +25,9 @@ from degreecalc.manifold import (
     summand_multiset,
 )
 
+from degreecalc.dsl import parse_expr, print_expr
+from degreecalc.intset import INT64_MAX, INT64_MIN
+
 from conftest import random_expr
 
 
@@ -291,3 +294,42 @@ class TestKeptHash:
             fresh = [x for x in _sums_and_products(again) if not any(x is y for y in nested)]
             assert fresh[0] is again and not any("_hash" in vars(x) for x in fresh)
             assert again == e and hash(again) == hash(e)
+
+
+class G(int):
+    """An int subclass with a repr of its own."""
+
+    def __repr__(self):
+        return f"G({int(self)})"
+
+
+class TestPlainInts:
+    """A genus, an Euler number and a summand count are plain ints."""
+
+    @pytest.mark.parametrize("bad", [True, 2.0, G(2)], ids=["bool", "float", "subclass"])
+    def test_constructors_refuse_what_is_not_an_int(self, bad):
+        builds = [
+            lambda: Surface(bad),
+            lambda: K(bad, 2),
+            lambda: K(3, bad),
+            lambda: ConnSum({K(2, 1): bad, K(2, 3): 1}),
+            lambda: ConnSum({ConnSum((K(2, 1), K(2, 3))): bad}),
+        ]
+        for build in builds:
+            with pytest.raises(MalformedExpr, match="must be (an int|ints)"):
+                build()
+
+    def test_equal_expressions_print_alike_and_parse_back(self):
+        rng = random.Random(39)
+        exprs = [random_expr(rng) for _ in range(3000)]
+        edges = [INT64_MIN, INT64_MIN + 1, -1, 0, 1, 2, INT64_MAX - 1, INT64_MAX]
+        edges += [10**18, -(10**18), 10**19, -(10**19), 2**64, -(2**64), 10**30]
+        exprs += [K(2, e) for e in edges] + [K(g, 1) for g in edges if g >= 2]
+        exprs += [Surface(g) for g in edges if g >= 0]
+        texts = {}
+        for e in exprs:
+            text = print_expr(e)
+            assert parse_expr(text) == e, text
+            # a fresh equal object, with no text kept on it, prints alike
+            assert print_expr(pickle.loads(pickle.dumps(e))) == text
+            assert texts.setdefault(e, text) == text

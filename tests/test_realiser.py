@@ -16,7 +16,7 @@ from degreecalc import _memo, dsl, engine, realiser, verify
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle, ConnSum, Product, normalize
+from degreecalc.manifold import CircleBundle, ConnSum, MalformedExpr, Product, normalize
 from degreecalc.realiser import (
     BASE_GENUS,
     ArithIntervals,
@@ -589,13 +589,6 @@ def test_checker_gets_the_realisers_construction_and_its_own_params():
     assert params == cert.params
     assert params is not cert.params and params["d_i_prime"] is not cert.params["d_i_prime"]
 
-    class Genus(int):
-        pass
-
-    # params hold the genus as given, so an int subclass gets its own entry
-    assert type(_sumset_construction(cert.spec, Genus(2))[2]["base_genus"]) is Genus
-    assert type(_sumset_construction(cert.spec, 2)[2]["base_genus"]) is int
-
 
 def test_each_construction_call_gets_its_own_params():
     spec = ArithIntervals(((-3, -2), (0, 1), (3, 4)))
@@ -627,27 +620,31 @@ def test_realiser_and_checker_share_the_bundle_objects(monkeypatch):
     assert m is cert.m and n is cert.n
     memo = realiser._BUNDLES
     for bundle in _bundles(cert.m) + [cert.n]:
-        assert memo[BASE_GENUS, bundle.euler, int] is bundle
+        assert memo[BASE_GENUS, bundle.euler] is bundle
     # another spec's construction takes the same objects for the same bundles
     other = realise_arith_intervals(ArithIntervals(((-6, -4), (-1, 1), (4, 6))))
     assert other.n is cert.n
     assert {id(b) for b in _bundles(other.m)} <= {id(b) for b in _bundles(cert.m)}
 
 
-def test_bundles_keep_the_genus_as_given():
+def test_constructions_refuse_a_genus_that_is_not_an_int():
     class Genus(int):
         def __repr__(self):
             return f"Genus({int(self)})"
 
-    engine.clear_cache()
     spec = ArithIntervals(((-2, -1), (0, 1), (2, 3)))
-    for genus in (2, Genus(2), 2):
-        m, n, _ = _sumset_construction(spec, genus)
-        assert all(type(b.base_genus) is type(genus) for b in _bundles(m) + [n])
-    for genus in (Genus(3), 3):
-        blocks = _geometric_blocks(2, 5, genus)
-        assert all(type(b.base_genus) is type(genus) for x in blocks for b in _bundles(x))
-    assert print_expr(blocks[1]) == "K(3;4) # K(3;5)"
+    for genus in (Genus(2), Genus(3), True, 2.0, 3.0):
+        engine.clear_cache()
+        with pytest.raises(MalformedExpr, match="must be ints"):
+            _sumset_construction(spec, genus)
+        with pytest.raises(MalformedExpr, match="must be ints"):
+            _geometric_blocks(2, 5, genus)
+        # a refused genus leaves nothing in the memos for an equal plain genus to find
+        assert not realiser._BUNDLES and not realiser._CONSTRUCTIONS and not realiser._BLOCKS
+    m, n, params = _sumset_construction(spec, 2)
+    assert all(type(b.base_genus) is int for b in _bundles(m) + [n])
+    assert type(params["base_genus"]) is int
+    assert print_expr(_geometric_blocks(2, 5, 3)[1]) == "K(3;4) # K(3;5)"
 
 
 def _nodes(m):

@@ -688,14 +688,17 @@ class TestWrittenValues:
         assert check_certificate(certificate_from_json(json.dumps(payload, indent=layout))).ok
 
     @pytest.mark.parametrize("genus", [Genus(2), Genus(3)], ids=["same", "other"])
-    def test_int_subclass_genus_is_checked_as_its_value(self, genus):
+    def test_int_subclass_genus_is_refused(self, genus):
         cert = PARAMS_CERTS["geometric"]
         report = check_certificate(dataclasses.replace(cert, params={**cert.params, "base_genus": genus}))
+        assert report.mismatches == (f"base genus Genus({int(genus)}) is not hyperbolic",)
+        # the report for the plain genus of the same value is as it was
+        report = check_certificate(dataclasses.replace(cert, params={**cert.params, "base_genus": int(genus)}))
         if genus == 2:
             assert report.ok, report.mismatches
         else:
             target, source = report.mismatches
-            assert target.startswith("target is not the construction's K(Genus(3);")
+            assert target.startswith("target is not the construction's K(3;")
             assert source == "source summands do not match the family multiplicities"
 
     @pytest.mark.parametrize("kind", ["geometric", "intervals"])
@@ -716,6 +719,21 @@ class TestWrittenValues:
         steps = cert.derivation[:1] + (entry,) + cert.derivation[2:]
         assert check_certificate(dataclasses.replace(cert, derivation=steps)).mismatches == (
             f"derivation step 2 is {shown}, not the calculator's trace for (M, N)",
+        )
+
+    @pytest.mark.parametrize("params", [None, [], 5], ids=["none", "list", "number"])
+    @pytest.mark.parametrize("kind", ["geometric", "intervals"])
+    def test_params_that_are_not_a_mapping_are_a_mismatch(self, kind, params):
+        cert = PARAMS_CERTS[kind]
+        assert check_certificate(dataclasses.replace(cert, params=params)).mismatches == (
+            f"params {params!r} is not a mapping",
+        )
+
+    @pytest.mark.parametrize("kind", ["geometric", "intervals"])
+    def test_derivation_that_is_not_iterable_is_a_mismatch(self, kind):
+        cert = PARAMS_CERTS[kind]
+        assert check_certificate(dataclasses.replace(cert, derivation=5)).mismatches == (
+            "derivation 5 is not a list of steps",
         )
 
     @pytest.mark.parametrize("kind", ["geometric", "intervals"])
