@@ -11,8 +11,8 @@ Grammar::
     int  := '-'? [0-9]+               ASCII digits only
 
 Whitespace is insignificant.  Parsed expressions are canonical as built, and
-:func:`print_expr` emits the canonical text, so
-``parse_expr(print_expr(e)) == normalize(e)`` for every well-formed ``e``.
+:func:`print_expr` emits the canonical text, so ``parse_expr(print_expr(e)) == e``
+for every ``e`` whose text nests parentheses at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .manifold import (
     ManifoldExpr,
     Product,
     Surface,
-    normalize,
+    normalize,  # held by perfbench/tests (traced_run)
 )
 
 
@@ -235,26 +235,26 @@ def _parse_tokens(text: str) -> ManifoldExpr:
 
 
 def print_expr(m: ManifoldExpr) -> str:
-    """Canonical text for an expression (a one-summand sum prints as its
-    summand), computed on the first call for an object and kept on it."""
+    """Canonical text for an expression, computed on the first call for an
+    object and kept on it; a sum or product joins its parts' kept texts."""
     text = getattr(m, "_text", None)
-    if text is None:
-        text = _print(normalize(m))
-        object.__setattr__(m, "_text", text)
-    return text
-
-
-def _print(m: ManifoldExpr) -> str:
+    if text is not None:
+        return text
     if isinstance(m, Circle):
-        return "S1"
-    if isinstance(m, Surface):
-        return f"S({m.genus})"
-    if isinstance(m, CircleBundle):
-        return f"K({m.base_genus};{m.euler})"
-    if isinstance(m, ConnSum):
+        text = "S1"
+    elif isinstance(m, Surface):
+        text = f"S({m.genus})"
+    elif isinstance(m, CircleBundle):
+        text = f"K({m.base_genus};{m.euler})"
+    elif isinstance(m, ConnSum):
         parts: list[str] = []
         for s, count in m.counts:
-            text = _print(s)
+            text = print_expr(s)
             parts += [f"({text})" if isinstance(s, Product) else text] * count
-        return " # ".join(parts)
-    return " x ".join(_print(f) for f in m.factors)
+        text = " # ".join(parts)
+    elif isinstance(m, Product):
+        text = " x ".join(map(print_expr, m.factors))
+    else:
+        raise MalformedExpr(f"not a manifold expression: {m!r}")
+    object.__setattr__(m, "_text", text)
+    return text

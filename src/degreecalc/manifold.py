@@ -7,8 +7,8 @@ immutable, hashable and canonical by construction, with a plain int in every
 field and count: a connected sum is stored as the sorted multiset of its
 summands with nested sums merged in, and a product stores its factors
 flattened and sorted, so structurally equal manifolds compare and print alike.
-The one non-canonical value a constructor still builds is a one-summand sum,
-which :func:`normalize` collapses.
+A connected sum has two or more summands, counted with multiplicity, and a
+product two or more factors, so each manifold has one value.
 """
 
 from __future__ import annotations
@@ -89,11 +89,12 @@ def _kept_hash(cls: type) -> type:
 class ConnSum:
     """Connected sum of equal-dimension manifolds of dimension >= 2.
 
-    Stored as a multiset: ``counts`` holds each distinct summand once, in
-    :func:`sort_key` order, with its multiplicity.  The constructor takes the
-    summands with repeats, e.g. ``ConnSum((a, b, a))``, or a mapping from
-    summand to positive count, e.g. ``ConnSum({a: 2, b: 1})``; a summand that
-    is itself a sum is merged in, its counts multiplied by its own count.
+    Stored as a multiset of two or more summands: ``counts`` holds each
+    distinct summand once, in :func:`sort_key` order, with its multiplicity.
+    The constructor takes the summands with repeats, e.g. ``ConnSum((a, b, a))``,
+    or a mapping from summand to positive count, e.g. ``ConnSum({a: 2, b: 1})``;
+    a summand that is itself a sum is merged in, its counts multiplied by its
+    own count.  A lone summand is no sum: :func:`conn_sum` returns it as is.
     """
 
     counts: tuple[tuple["ManifoldExpr", int], ...]
@@ -115,6 +116,8 @@ class ConnSum:
             raise MalformedExpr(f"connected sum of mixed dimensions {sorted(dims)}")
         if dims == {1}:
             raise MalformedExpr("connected sums of 1-manifolds are not allowed")
+        if list(counts.values()) == [1]:
+            raise MalformedExpr("connected sum needs two or more summands (with multiplicity)")
         ordered = sorted(counts.items(), key=lambda item: sort_key(item[0]))
         object.__setattr__(self, "counts", tuple(ordered))
 
@@ -122,7 +125,7 @@ class ConnSum:
     def _trusted(cls, counts: tuple[tuple["ManifoldExpr", int], ...]) -> ConnSum:
         """A sum without validation: the caller guarantees canonical ``counts``,
         distinct non-sum summands in :func:`sort_key` order with positive
-        counts, all of one dimension >= 2."""
+        counts adding up to two or more, all of one dimension >= 2."""
         s = object.__new__(cls)
         object.__setattr__(s, "counts", counts)
         return s
@@ -136,9 +139,8 @@ class ConnSum:
 @_kept_hash
 @dataclass(frozen=True)
 class Product:
-    """Direct product of at least two manifolds, stored with one-summand
-    sums collapsed, nested products flattened and factors in :func:`sort_key`
-    order."""
+    """Direct product of at least two manifolds, stored with nested products
+    flattened and factors in :func:`sort_key` order."""
 
     factors: tuple["ManifoldExpr", ...]
 
@@ -146,7 +148,7 @@ class Product:
         if len(self.factors) < 2:
             raise MalformedExpr("product needs at least two factors")
         flat: list[ManifoldExpr] = []
-        for f in map(normalize, self.factors):
+        for f in map(normalize, self.factors):  # each factor must be an expression
             if isinstance(f, Product):
                 flat.extend(f.factors)
             else:
@@ -161,7 +163,7 @@ CIRCLE = Circle()
 
 def conn_sum(*summands: ManifoldExpr) -> ManifoldExpr:
     """Connected sum of the given summands; one summand is returned as is."""
-    return normalize(ConnSum(tuple(summands)))
+    return summands[0] if len(summands) == 1 and dimension(summands[0]) > 1 else ConnSum(summands)
 
 
 def product(*factors: ManifoldExpr) -> ManifoldExpr:
@@ -201,11 +203,9 @@ def sort_key(m: ManifoldExpr) -> tuple:
 
 
 def normalize(m: ManifoldExpr) -> ManifoldExpr:
-    """Canonical form: a one-summand connected sum collapses to its summand;
-    every other expression is canonical as constructed and returned as is."""
-    if isinstance(m, ConnSum):
-        return m.counts[0][0] if len(m.counts) == 1 and m.counts[0][1] == 1 else m
-    if isinstance(m, (Circle, Surface, CircleBundle, Product)):
+    """The expression itself, which is canonical as constructed; raises
+    :class:`MalformedExpr` for a value that is not an expression."""
+    if isinstance(m, (Circle, Surface, CircleBundle, ConnSum, Product)):
         return m
     raise MalformedExpr(f"not a manifold expression: {m!r}")
 
@@ -223,16 +223,15 @@ def summand_multiset(m: ManifoldExpr) -> Counter:
 def is_pi2_trivial(n: ManifoldExpr) -> bool:
     """Whether the second homotopy group of this 3-manifold vanishes.
 
-    True for circle bundles over hyperbolic surfaces (they are aspherical)
-    and for one-summand connected sums; false for sums of two or more
-    summands, whose connecting sphere is essential.
+    True for circle bundles over hyperbolic surfaces (they are aspherical);
+    false for connected sums, whose connecting sphere is essential.
     """
     if dimension(n) != 3:
         raise UnsupportedExpression(f"pi_2 test needs a 3-manifold, got dimension {dimension(n)}")
     if isinstance(n, CircleBundle):
         return True
     if isinstance(n, ConnSum):
-        return n.counts[0][1] == 1 and len(n.counts) == 1 and is_pi2_trivial(n.counts[0][0])
+        return False
     raise UnsupportedExpression(f"pi_2 not determined for {type(n).__name__}")
 
 

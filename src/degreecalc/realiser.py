@@ -36,7 +36,8 @@ from ._memo import memo, store
 from .dsl import parse_expr
 from .engine import RuleApplication
 from .intset import DegreeSet
-from .manifold import CircleBundle, ConnSum, ManifoldExpr, Product, dimension, normalize
+from .manifold import CircleBundle, ConnSum, ManifoldExpr, Product, dimension
+from .manifold import normalize  # held by perfbench/tests (traced_run)
 
 BASE_GENUS = 2
 
@@ -233,9 +234,11 @@ def _sumset_construction(
         for di_p, ni, npi in zip(d_i_prime, n, nprime):
             counts[di_p] = counts.get(di_p, 0) + ni
             counts[-di_p] = counts.get(-di_p, 0) + npi
-        params: dict[str, object] = dict(d_prime=d_prime, d_i_prime=d_i_prime, base_genus=genus)
+        # params take N's genus, an int even where an equal 2.0 found N in the bundle memo
+        n_expr = _bundle(genus, d_prime)
+        params = dict(d_prime=d_prime, d_i_prime=d_i_prime, base_genus=n_expr.base_genus)
         if any(counts.values()):
-            m_expr = normalize(_bundle_sum(genus, counts))
+            m_expr = _bundle_sum(genus, counts)
         else:
             # All multiplicities zero: the only representable value is 0, which a
             # bundle pair with non-dividing Euler numbers realises exactly.
@@ -248,7 +251,7 @@ def _sumset_construction(
             params["zero_interval_index"] = n2p + 1
         elif isinstance(spec, SubsetSums):
             params["dropped_zeros"] = spec.d.count(0)
-        built = store(_CONSTRUCTIONS, key, (m_expr, _bundle(genus, d_prime), params), 64)
+        built = store(_CONSTRUCTIONS, key, (m_expr, n_expr, params), 64)
     m_expr, n_expr, params = built
     return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
 
@@ -266,13 +269,14 @@ def _bundle(genus: int, e: int) -> CircleBundle:
     return bundle
 
 
-def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum:
+def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum | CircleBundle:
     """The connected sum of ``counts[e]`` copies of K(genus; e) for each Euler
     number e with a positive count.  The summands are bundles over one base,
     so Euler-number order is their :func:`sort_key` order and the sum is built
     canonical, without the checks of the ``ConnSum`` constructor."""
     summands = tuple((_bundle(genus, e), k) for e, k in sorted(counts.items()) if k)
-    return ConnSum._trusted(summands)
+    # one copy of one bundle is that bundle: a sum has two or more summands
+    return summands[0][0] if [k for _, k in summands] == [1] else ConnSum._trusted(summands)
 
 
 def realise_sumset(spec: SumsetFamily) -> Certificate:
@@ -433,12 +437,21 @@ def spec_from_jsonable(obj: object) -> RealisationSpec:
     return cls(*(_int_tuples(obj[f.name], f.type.count("tuple[")) for f in fields(cls)))
 
 
+def _written(v: object) -> object:
+    """:func:`engine.json_view` of a value the encoder cannot write; TypeError if
+    that is the value itself, which the encoder would ask for again and again."""
+    view = engine.json_view(v)
+    if view is v:
+        raise TypeError(f"{type(v).__name__} has no JSON text")
+    return view
+
+
 _escape = json.encoder.encode_basestring_ascii
 # The canonical text of a value, in pieces: the C encoder of JSONEncoder(sort_keys=True,
-# allow_nan=False, check_circular=False, default=engine.json_view), built once
-# rather than at every encode call.  It writes 1, 1.0 and true apart.
+# allow_nan=False, check_circular=False, default=_written), built once rather
+# than at every encode call.  It writes 1, 1.0 and true apart.
 _canonical = json.encoder.c_make_encoder(
-    None, engine.json_view, _escape, None, ": ", ", ", True, False, False
+    None, _written, _escape, None, ": ", ", ", True, False, False
 )
 
 

@@ -11,7 +11,10 @@ It then prints every executable line that never ran, as ``file:line  text``
 (the lines ``trace``'s ``show_missing`` marks).
 
 This is a report of reach, not a pass/fail check: the tests that assert a
-time budget fail under tracing, and their failures are expected.  Lines that
+time budget fail under tracing, and their failures are expected.  CPython
+removes a trace function that raises, as ``trace``'s does at the recursion
+limit, so the tracer is installed again after any test that removed it; the
+report names those tests, as the rest of each went uncounted.  Lines that
 only run in a child process (``cli.console_main`` and the ``__main__``
 guard, which the SIGPIPE test starts with ``python -m``) cannot be seen by
 the tracer; they are listed apart as "subprocess only".  Standard library
@@ -32,11 +35,27 @@ SEED = 201
 _MISSING = ">>>>>> "  # how trace's show_missing marks a line that never ran
 
 
-def _run_suite_and_workloads() -> int:
+class _Rearm:
+    """A pytest plugin that installs the tracer again after each test that
+    removed it, and records that test's id."""
+
+    def __init__(self) -> None:
+        self.globaltrace = sys.gettrace()
+        self.removed: list[str] = []
+
+    def pytest_runtest_logfinish(self, nodeid: str) -> None:
+        if sys.gettrace() is not self.globaltrace:
+            self.removed.append(nodeid)
+            sys.settrace(self.globaltrace)
+
+
+def _run_suite_and_workloads() -> tuple[int, list[str]]:
     import pytest
 
+    rearm = _Rearm()
     status = pytest.main(
-        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), str(ROOT / "perfbench" / "tests")]
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), str(ROOT / "perfbench" / "tests")],
+        plugins=[rearm],
     )
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads  # read only: perfbench's own seeded inputs
@@ -47,7 +66,7 @@ def _run_suite_and_workloads() -> int:
         workload.start_pass()
         for item in items:
             workload.run(item)
-    return int(status)
+    return int(status), rearm.removed
 
 
 def _subprocess_only(source: str) -> set[int]:
@@ -71,7 +90,7 @@ def main() -> int:
     tracer.globaltrace = lambda frame, event, arg: (
         tracer.localtrace if frame.f_code.co_filename.startswith(package) else None
     )
-    status = tracer.runfunc(_run_suite_and_workloads)
+    status, removed = tracer.runfunc(_run_suite_and_workloads)
 
     unreached, subprocess_only = [], []
     with tempfile.TemporaryDirectory() as coverdir:
@@ -86,6 +105,8 @@ def main() -> int:
                     (subprocess_only if number in in_child else unreached).append(where)
 
     print(f"\npytest exit status {status} (time budgets fail under tracing)")
+    print(f"\n{len(removed)} tests removed the tracer (installed again after each):")
+    print("\n".join(removed))
     print(f"\n{len(unreached)} lines never ran:")
     print("\n".join(unreached))
     print(f"\n{len(subprocess_only)} lines run only in a subprocess:")

@@ -1,6 +1,7 @@
 """Parser and printer: grammar, precedence, errors, round trips."""
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -10,11 +11,13 @@ from degreecalc import dsl, engine
 from degreecalc.dsl import MAX_NESTING, ParseError, SemanticError, parse_expr, print_expr
 from degreecalc.manifold import (
     CIRCLE,
+    Circle,
     CircleBundle,
     ConnSum,
     MalformedExpr,
     Product,
     Surface,
+    conn_sum,
     dimension,
     normalize,
 )
@@ -161,21 +164,21 @@ class TestPrint:
 class TestStoredText:
     """print_expr computes an object's text once and keeps it on the object."""
 
-    def test_second_print_of_an_object_does_not_print_again(self, monkeypatch):
-        calls = []
-        real = dsl._print
-        monkeypatch.setattr(dsl, "_print", lambda m: calls.append(m) or real(m))
-        expr = ConnSum((K(2, 1), Product((CIRCLE, Surface(2)))))
+    def test_second_print_of_an_object_does_not_print_again(self):
+        expr = ConnSum((K(2, 1), Product((Circle(), Surface(2)))))
+        parts = _parts(expr)
+        assert not any("_text" in vars(x) for x in parts)
         first = print_expr(expr)
-        printed = len(calls)
-        assert print_expr(expr) == first
-        assert len(calls) == printed
+        kept = [vars(x)["_text"] for x in parts]
+        assert print_expr(expr) is first
+        # no part's text was set again
+        assert all(vars(x)["_text"] is text for x, text in zip(parts, kept))
 
     def test_first_and_second_print_equal_the_uncached_text(self):
         rng = random.Random(13)
         for _ in range(2000):
             e = random_expr(rng)
-            expected = dsl._print(normalize(e))
+            expected = print_expr(_rebuilt(e))
             assert print_expr(e) == expected
             assert print_expr(e) == expected
 
@@ -195,12 +198,14 @@ class TestStoredText:
 
     @pytest.mark.parametrize("summand_first", [False, True])
     def test_one_summand_sum_prints_as_its_summand(self, summand_first):
+        # ConnSum refuses a lone summand; conn_sum returns it, so it prints as itself
         summand = Product((CIRCLE, Surface(3)))
         if summand_first:
             print_expr(summand)
-        single = ConnSum((summand,))
-        assert print_expr(single) == print_expr(summand) == "S1 x S(3)"
-        assert print_expr(single) == "S1 x S(3)"
+        with pytest.raises(MalformedExpr, match="two or more summands"):
+            ConnSum((summand,))
+        assert conn_sum(summand) is summand
+        assert print_expr(conn_sum(summand)) == print_expr(summand) == "S1 x S(3)"
 
     def test_non_expression_is_malformed(self):
         with pytest.raises(MalformedExpr):
@@ -208,16 +213,48 @@ class TestStoredText:
 
     def test_deep_alternating_sum_and_product_prints(self):
         # the printer recurses once per level, so it must not add frames per level
-        e = K(2, 1)
-        for level in range(400):
-            if level % 2:
-                e = Product((e, CIRCLE))
-            else:
-                d = dimension(e)
-                e = ConnSum((e, Product((CIRCLE,) * d) if d > 3 else K(2, 2)))
+        def deep():
+            e = K(2, 1)
+            for level in range(400):
+                if level % 2:
+                    e = Product((e, Circle()))
+                else:
+                    d = dimension(e)
+                    e = ConnSum((e, Product((Circle(),) * d) if d > 3 else K(2, 2)))
+            return e
+
+        e = deep()
         text = print_expr(e)
-        assert text == dsl._print(e)
+        assert text == print_expr(deep())
         assert text.count("#") == 200
+        assert all("_text" in vars(x) for x in _parts(e))
+
+
+def _parts(e):
+    """e and every expression nested in it, each summand once."""
+    children = [s for s, _ in e.counts] if isinstance(e, ConnSum) else getattr(e, "factors", ())
+    return [e] + [x for c in children for x in _parts(c)]
+
+
+def _rebuilt(e):
+    """An equal expression built again from e's fields, with no text kept on it."""
+    if isinstance(e, ConnSum):
+        return ConnSum({_rebuilt(s): c for s, c in e.counts})
+    if isinstance(e, Product):
+        return Product(tuple(map(_rebuilt, e.factors)))
+    return dataclasses.replace(e)
+
+
+class TestOneValue:
+    """Every expression is canonical as constructed and prints through its parts."""
+
+    def test_normalize_print_and_parse_on_random_expressions(self):
+        rng = random.Random(88)
+        for _ in range(1000):
+            e = random_expr(rng)
+            assert normalize(e) is e
+            assert parse_expr(print_expr(e)) == e
+            assert all("_text" in vars(x) for x in _parts(e))
 
 
 def _outcome(parse, text):

@@ -57,8 +57,9 @@ class TestDimension:
             ConnSum(())
 
     def test_non_expression_rejected(self):
-        with pytest.raises(MalformedExpr):
-            dimension(5)
+        for check in (dimension, normalize, lambda x: Product((CIRCLE, x)), conn_sum):
+            with pytest.raises(MalformedExpr, match="^not a manifold expression: 5$"):
+                check(5)
 
     def test_circle_summand_rejected(self):
         with pytest.raises(MalformedExpr):
@@ -89,7 +90,10 @@ class TestNormalize:
         assert normalize(nested) == ConnSum((K(2, 1), K(2, 3), K(2, 3)))
 
     def test_singleton_sum_collapses(self):
-        assert normalize(ConnSum((K(2, 5),))) == K(2, 5)
+        # only conn_sum collapses: ConnSum refuses a lone summand
+        assert conn_sum(K(2, 5)) == K(2, 5)
+        with pytest.raises(MalformedExpr, match="two or more summands"):
+            ConnSum((K(2, 5),))
 
     def test_product_keeps_two_factors(self):
         p = normalize(Product((Surface(2), CIRCLE)))
@@ -128,12 +132,52 @@ class TestNormalize:
         assert product(Surface(1), CIRCLE) == Product((CIRCLE, Surface(1)))
 
 
+def _lone(x):
+    """A sum nesting ``x`` once, built without the constructor's checks."""
+    return ConnSum._trusted(((x, 1),))
+
+
+LONE_BUILDS = {
+    "tuple": lambda x: ConnSum((x,)),
+    "mapping": lambda x: ConnSum({x: 1}),
+    "nested": lambda x: ConnSum((_lone(x),)),
+}
+
+
+class TestOneSummandRefused:
+    """A connected sum holds two or more summands, counted with multiplicity."""
+
+    @pytest.mark.parametrize("build", LONE_BUILDS.values(), ids=LONE_BUILDS.keys())
+    @pytest.mark.parametrize("x", [K(2, 5), Surface(3), Product((CIRCLE, Surface(2)))], ids=repr)
+    def test_lone_summand_is_refused(self, build, x):
+        with pytest.raises(
+            MalformedExpr, match=r"^connected sum needs two or more summands \(with multiplicity\)$"
+        ):
+            build(x)
+        twice = ConnSum({x: 2})
+        assert twice.counts == ((x, 2),) and twice.summands == (x, x)
+        assert ConnSum((_lone(x), x)) == twice
+        assert conn_sum(x) is x
+
+    def test_other_refusals_keep_their_messages(self):
+        cases = [
+            (lambda: ConnSum(()), "connected sum needs at least one summand"),
+            (lambda: ConnSum({K(2, 1): 0}), "connected sum counts must be positive"),
+            (lambda: ConnSum((CIRCLE,)), "connected sums of 1-manifolds are not allowed"),
+            (lambda: conn_sum(CIRCLE), "connected sums of 1-manifolds are not allowed"),
+        ]
+        for build, message in cases:
+            with pytest.raises(MalformedExpr) as info:
+                build()
+            assert str(info.value) == message
+
+
 class TestCanonicalConstruction:
     def test_product_sorts_its_factors(self):
         assert Product((Surface(1), CIRCLE)).factors == (CIRCLE, Surface(1))
 
-    def test_product_flattens_and_collapses_its_factors(self):
-        p = Product((Product((Surface(1), CIRCLE)), ConnSum((Surface(2),))))
+    def test_product_flattens_its_factors(self):
+        p = Product((Product((Surface(1), CIRCLE)), conn_sum(Surface(2))))
         assert p.factors == (CIRCLE, Surface(1), Surface(2))
 
     def test_random_expressions_are_built_canonical(self):
@@ -154,7 +198,9 @@ class TestPi2Trivial:
         assert is_pi2_trivial(ConnSum((K(2, 1), K(2, 1)))) is False
 
     def test_singleton_sum(self):
-        assert is_pi2_trivial(ConnSum((K(2, 5),))) is True
+        # a lone summand is the summand itself; every sum has an essential sphere
+        assert is_pi2_trivial(conn_sum(K(2, 5))) is True
+        assert is_pi2_trivial(ConnSum({K(2, 5): 2})) is False
 
     def test_wrong_dimension_unsupported(self):
         with pytest.raises(UnsupportedExpression):
@@ -187,8 +233,8 @@ class TestProductDominationFree:
         for _ in range(200):
             base = [K(rng.randint(2, 3), rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
             extra = [K(rng.randint(2, 3), rng.randint(-5, 5)) for _ in range(rng.randint(1, 2))]
-            n1 = normalize(ConnSum(tuple(base)))
-            n12 = normalize(ConnSum(tuple(base + extra)))
+            n1 = conn_sum(*base)
+            n12 = conn_sum(*base, *extra)
             if is_product_domination_free(n1):
                 assert is_product_domination_free(n12)
 
@@ -213,11 +259,12 @@ class TestMultisetRepresentation:
     def test_nesting_merges_counts_under_normalize(self):
         a, b = K(2, 1), K(2, 3)
         nested = ConnSum((a, ConnSum((b, a))))
-        assert normalize(nested).counts == ConnSum((a, a, b)).counts
-        assert nested.counts == ((a, 2), (b, 1))
-        assert ConnSum((ConnSum((b, a)), ConnSum((a,)))).counts == ((a, 2), (b, 1))
+        assert normalize(nested) is nested
+        assert nested.counts == ConnSum((a, a, b)).counts == ((a, 2), (b, 1))
+        assert ConnSum((ConnSum((b, a)), ConnSum((a, a)))).counts == ((a, 3), (b, 1))
         twice = ConnSum((ConnSum((a, b)), ConnSum((b, a))))
-        assert normalize(twice).counts == ((a, 2), (b, 2))
+        assert normalize(twice) is twice
+        assert twice.counts == ((a, 2), (b, 2))
 
     def test_flattening_merges_counts_without_expanding_copies(self):
         inner = ConnSum({K(2, 3): 1, K(2, 5): 1})
@@ -242,7 +289,7 @@ class TestMultisetRepresentation:
         rng = random.Random(47)
         leaves = [K(2, e) for e in (-2, 1, 3)] + [Product((CIRCLE, Surface(2)))]
         sums = [
-            ConnSum(rng.choice(leaves) for _ in range(rng.randint(1, 5))) for _ in range(300)
+            conn_sum(*(rng.choice(leaves) for _ in range(rng.randint(1, 5)))) for _ in range(300)
         ]
         sums += [ConnSum((s, rng.choice(leaves))) for s in sums[:50]]
         sums += [Product((rng.choice(sums), rng.choice(sums))) for _ in range(100)]

@@ -647,6 +647,19 @@ def test_constructions_refuse_a_genus_that_is_not_an_int():
     assert print_expr(_geometric_blocks(2, 5, 3)[1]) == "K(3;4) # K(3;5)"
 
 
+def test_an_equal_genus_of_another_type_records_the_int_genus():
+    spec = ArithIntervals(((-2, -1), (0, 1), (2, 3)))
+    engine.clear_cache()
+    _sumset_construction(spec, 2)
+    realiser._CONSTRUCTIONS.clear()
+    # a hit in the bundle memo: N is the int-genus bundle, and params record its genus
+    m, n, params = _sumset_construction(spec, 2.0)
+    assert type(n.base_genus) is type(params["base_genus"]) is int
+    cert = realise_arith_intervals(spec)
+    assert type(cert.params["base_genus"]) is int
+    assert check_certificate(cert).ok
+
+
 def _nodes(m):
     """m, its factors and their summands."""
     factors = m.factors if isinstance(m, Product) else (m,)

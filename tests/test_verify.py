@@ -5,6 +5,7 @@ import functools
 import json
 import pickle
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -764,6 +765,27 @@ class TestWrittenValues:
         loop = []
         loop.append(loop)
         assert same(loop, loop) and not same(loop, [[]])
+
+    def test_value_of_no_json_text_is_refused_at_once(self):
+        # the encoder asks json_view once for such a value, not once per level
+        # of its recursion until the recursion limit
+        calls = []
+        code = engine.json_view.__code__
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        thing, step = object(), PARAMS_CERTS["intervals"].derivation[0]
+        for a, b in [(thing, [1]), ([1, thing], [1, 2]), ({"a": thing}, {"a": 1}), (thing, step)]:
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                same = realiser._same(a, b)
+            finally:
+                sys.setprofile(None)
+            assert same is False and len(calls) <= 2
+        assert realiser._same(thing, thing) and realiser._same([step], [step])
 
 
 K = CircleBundle
