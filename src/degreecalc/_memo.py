@@ -1,25 +1,22 @@
-"""Bounded memos of values that a pass computes more than once: plain dicts
-that ``engine.clear_cache()`` empties, each looked up by the caller's own
-``m.get(key)``."""
+"""Bounded memos of values that a pass computes more than once:
+``functools.lru_cache`` functions, registered so that ``engine.clear_cache()``
+empties them.  Each evicts its least recently used entry when full and counts
+its hits and misses (``cache_info()``)."""
 
-from typing import TypeVar
+import functools
 
-V = TypeVar("V")
+LIMIT = 4096  # entries of the engine's pair cache, and of a memo by default
 
-MEMOS: list[dict] = []
-
-
-def memo() -> dict:
-    """A new empty memo, registered in :data:`MEMOS`."""
-    m: dict = {}
-    MEMOS.append(m)
-    return m
+MEMOS: list = []
 
 
-def store(m: dict, key: object, value: V, limit: int = 4096) -> V:
-    """Store ``value`` under ``key``, first clearing ``m`` whole if it holds
-    ``limit`` entries, and return ``value``."""
-    if len(m) >= limit:
-        m.clear()
-    m[key] = value
-    return value
+def memo(maxsize: int = LIMIT):
+    """Decorator: memoise a function in an LRU cache of ``maxsize`` entries,
+    registered in :data:`MEMOS`."""
+
+    def register(fn):
+        cached = functools.lru_cache(maxsize)(fn)
+        MEMOS.append(cached)
+        return cached
+
+    return register

@@ -131,7 +131,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     print("trace:")
     for entry in bound.trace:
         inputs = ", ".join(print_expr(x) for x in entry.inputs)
-        print(f"  {entry.rule}: {inputs} => {entry.produced}")
+        mark = " (lower truncated to units)" if entry.detail("lower_truncated_to_units") else ""
+        print(f"  {entry.rule}: {inputs} => {entry.produced}{mark}")
     return 0
 
 

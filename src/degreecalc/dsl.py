@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from ._memo import memo, store
+from ._memo import memo
 from .manifold import (
     CIRCLE,
     Circle,
@@ -182,9 +182,8 @@ def parse_expr(text: str) -> ManifoldExpr:
 # which reports one too long for int() with its column.
 _ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
 
-# The expression of each term text the canonical path has parsed.  A longer
-# term text is parsed on every call, so that the memo's texts stay bounded.
-_TERMS: dict[str, ManifoldExpr] = memo()
+# A longer term text is parsed on every call, so that the term memo's texts
+# stay bounded.
 _TERM_TEXT_MAX = 4096
 
 
@@ -195,17 +194,14 @@ def _parse_canonical(text: str) -> ManifoldExpr | None:
     memo; None if the text is not in that layout."""
     factors: list[ManifoldExpr] = []
     for term in text.split(" x "):
-        expr = _TERMS.get(term)
+        expr = (_parse_term if len(term) <= _TERM_TEXT_MAX else _parse_term.__wrapped__)(term)
         if expr is None:
-            expr = _parse_term(term)
-            if expr is None:
-                return None
-            if len(term) <= _TERM_TEXT_MAX:
-                store(_TERMS, term, expr)
+            return None
         factors.append(expr)
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
+@memo()
 def _parse_term(term: str) -> ManifoldExpr | None:
     """The expression of one term text, each distinct atom text parsed once;
     None if a piece is not an atom as print_expr writes it."""

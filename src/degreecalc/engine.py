@@ -24,7 +24,7 @@ from itertools import chain, permutations
 from typing import Iterator, Optional
 
 from . import intset
-from ._memo import MEMOS, store
+from ._memo import LIMIT, MEMOS
 from .dsl import print_expr
 from .intset import ALL_INTEGERS, ZERO_ONLY, DegreeSet, UnrepresentableSet
 from .manifold import (
@@ -132,7 +132,8 @@ def _make_bound(
     return SetBound(lower, upper, tuple(unique))
 
 
-# Cleared by name, not through MEMOS, so a dict put in its place is emptied.
+# Cleared by name, not through MEMOS, so a dict put in its place is emptied;
+# cleared whole when it holds LIMIT pairs.
 _CACHE: dict[tuple[ManifoldExpr, ManifoldExpr], SetBound] = {}
 _SUMS_BUDGET = 20000  # nodes visited by one _achievable_sums search
 
@@ -141,7 +142,7 @@ def clear_cache() -> None:
     """Empty the pair cache and every memo in ``_memo.MEMOS``."""
     _CACHE.clear()
     for memo in MEMOS:
-        memo.clear()
+        memo.cache_clear()
 
 
 def degree_bounds(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:
@@ -161,9 +162,12 @@ def degree_set_exact(m: ManifoldExpr, n: ManifoldExpr) -> DegreeSet:
 def _bounds(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:
     key = (m, n)
     hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    return store(_CACHE, key, _compute(m, n))
+    if hit is None:
+        hit = _compute(m, n)
+        if len(_CACHE) >= LIMIT:
+            _CACHE.clear()
+        _CACHE[key] = hit
+    return hit
 
 
 def _compute(m: ManifoldExpr, n: ManifoldExpr) -> SetBound:

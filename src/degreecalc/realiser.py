@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from . import engine, intset
-from ._memo import memo, store
+from ._memo import memo
 from .dsl import parse_expr
 from .engine import RuleApplication
 from .intset import DegreeSet
@@ -207,10 +207,6 @@ def _sumset_family(
     return (1, d2), (c_k, l - k), (-b_k, k - 1)
 
 
-# The checker asks for what the realiser has just built: 64 entries are enough.
-_CONSTRUCTIONS: dict[tuple, tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]] = memo()
-
-
 def _sumset_construction(
     spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
@@ -224,49 +220,48 @@ def _sumset_construction(
     contributes {0, d_i} or {0, -d_i} and the contributions add over the
     connected sum.
     """
-    key = (spec, genus)
-    built = _CONSTRUCTIONS.get(key)
-    if built is None:
-        d, n, nprime = _sumset_family(spec)
-        d_prime = math.prod(d)
-        d_i_prime = [d_prime // x for x in d]
-        counts: dict[int, int] = {}  # Euler number -> summand count
-        for di_p, ni, npi in zip(d_i_prime, n, nprime):
-            counts[di_p] = counts.get(di_p, 0) + ni
-            counts[-di_p] = counts.get(-di_p, 0) + npi
-        # params take N's genus, an int even where an equal 2.0 found N in the bundle memo
-        n_expr = _bundle(genus, d_prime)
-        params = dict(d_prime=d_prime, d_i_prime=d_i_prime, base_genus=n_expr.base_genus)
-        if any(counts.values()):
-            m_expr = _bundle_sum(genus, counts)
-        else:
-            # All multiplicities zero: the only representable value is 0, which a
-            # bundle pair with non-dividing Euler numbers realises exactly.
-            # d' + 1 is the smallest value > d' not dividing d'.
-            m_expr = _bundle(genus, d_prime + 1)
-            params["degenerate_euler"] = d_prime + 1
-        if isinstance(spec, ArithIntervals):
-            (n1, n2), (n1p, n2p) = n, nprime
-            params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p)
-            params["zero_interval_index"] = n2p + 1
-        elif isinstance(spec, SubsetSums):
-            params["dropped_zeros"] = spec.d.count(0)
-        built = store(_CONSTRUCTIONS, key, (m_expr, n_expr, params), 64)
-    m_expr, n_expr, params = built
+    m_expr, n_expr, params = _built_sumset_construction(spec, genus)
     return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
 
 
-_BUNDLES: dict[tuple[int, int], CircleBundle] = memo()
+# The checker asks for what the realiser has just built: 64 entries are enough.
+@memo(64)
+def _built_sumset_construction(
+    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
+) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
+    """The construction of :func:`_sumset_construction`, its params uncopied."""
+    d, n, nprime = _sumset_family(spec)
+    d_prime = math.prod(d)
+    d_i_prime = [d_prime // x for x in d]
+    counts: dict[int, int] = {}  # Euler number -> summand count
+    for di_p, ni, npi in zip(d_i_prime, n, nprime):
+        counts[di_p] = counts.get(di_p, 0) + ni
+        counts[-di_p] = counts.get(-di_p, 0) + npi
+    # params take N's genus, an int even where an equal 2.0 found N in the bundle memo
+    n_expr = _bundle(genus, d_prime)
+    params = dict(d_prime=d_prime, d_i_prime=d_i_prime, base_genus=n_expr.base_genus)
+    if any(counts.values()):
+        m_expr = _bundle_sum(genus, counts)
+    else:
+        # All multiplicities zero: the only representable value is 0, which a
+        # bundle pair with non-dividing Euler numbers realises exactly.
+        # d' + 1 is the smallest value > d' not dividing d'.
+        m_expr = _bundle(genus, d_prime + 1)
+        params["degenerate_euler"] = d_prime + 1
+    if isinstance(spec, ArithIntervals):
+        (n1, n2), (n1p, n2p) = n, nprime
+        params.update(n1=n1, n1prime=n1p, d2=d[1], n2=n2, n2prime=n2p)
+        params["zero_interval_index"] = n2p + 1
+    elif isinstance(spec, SubsetSums):
+        params["dropped_zeros"] = spec.d.count(0)
+    return m_expr, n_expr, params
 
 
+@memo()
 def _bundle(genus: int, e: int) -> CircleBundle:
     """K(genus; e), built once while in the bundle memo, so that every
     construction shares it and engine cache keys match by identity."""
-    key = (genus, e)
-    bundle = _BUNDLES.get(key)
-    if bundle is None:
-        bundle = store(_BUNDLES, key, CircleBundle(genus, e))
-    return bundle
+    return CircleBundle(genus, e)
 
 
 def _bundle_sum(genus: int, counts: Mapping[int, int]) -> ConnSum | CircleBundle:
@@ -336,23 +331,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_BLOCKS: dict[tuple[int, int, int], tuple[ManifoldExpr, ManifoldExpr]] = memo()
-
-
+@memo()
 def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, ManifoldExpr]:
     """The block pair (Q, P) for value d and prime q: Q = d K(g;q) # K(g;d) #
     K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1
     and a certificate under check may record any integer q.  Built once while
     in the block memo, so the realiser and the checker share the blocks, and
     with them each block's kept text and equality by identity."""
-    key = (d, q, genus)
-    blocks = _BLOCKS.get(key)
-    if blocks is None:
-        source = Counter({q: d})
-        source.update((d, d * d))
-        blocks = _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
-        store(_BLOCKS, key, blocks)
-    return blocks
+    source = Counter({q: d})
+    source.update((d, d * d))
+    return _bundle_sum(genus, source), _bundle_sum(genus, Counter((q, d * d)))
 
 
 def _block_values(spec: Geometric) -> list[int]:

@@ -61,6 +61,21 @@ class TestCompute:
         assert first == second
         assert first[1].splitlines()[0] == "exact {0, 1, 2}"
 
+    def test_truncation_to_units_is_shown(self, capsys):
+        code, out, _ = run(capsys, "compute", "S1 x K(2;1) -> S1 x K(2;2)")
+        assert code == 0
+        assert out.splitlines() == [
+            "lower {-2, 0, 2}",
+            "upper unknown",
+            "trace:",
+            "  circle_pair: S1, S1 => Z",
+            "  circle_bundle_pair: K(2;1), K(2;2) => {0, 2}",
+            "  product_of_factor_degrees: S1 x K(2;1), S1 x K(2;2) => {-2, 0, 2}"
+            " (lower truncated to units)",
+        ]
+        _, out, _ = run(capsys, "compute", "K(2;2) x K(2;3) -> K(2;2) x K(2;3)")
+        assert "product_of_factor_degrees" in out and "truncated" not in out
+
     @pytest.mark.parametrize("pair", ["K(1;3) -> K(2;3)", "K(2;²) -> K(2;1)", "K(2;٢) -> K(2;1)"])
     def test_bad_expression_is_usage_error(self, capsys, pair):
         code, _, err = run(capsys, "compute", pair)

@@ -292,5 +292,59 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         assert (code, report) == (0, walked)
 
 
+# Prints the recorded digests as computed after a memo history: "one" forces
+# every module memo to one entry and clears the pair cache at every store;
+# "shuffled" keeps the real limits and first runs every digest function in a
+# shuffled order.  Prints each memo's limit and the digests of every pass.
+_MEMO_HISTORY = """
+import functools, json, random, sys
+one = sys.argv[1] == "one"
+if one:
+    lru_cache = functools.lru_cache
+
+    def one_entry(maxsize=128, typed=False):
+        if callable(maxsize):  # a bare @lru_cache
+            return lru_cache(maxsize, typed)
+        return lambda fn: lru_cache(1 if fn.__module__.startswith("degreecalc.") else maxsize, typed)(fn)
+
+    functools.lru_cache = one_entry
+from degreecalc import _memo, engine
+from test_digests import DIGEST_FUNCTIONS
+if one:
+    class OneEntry(dict):
+        def __setitem__(self, key, value):
+            self.clear()
+            super().__setitem__(key, value)
+
+    engine._CACHE = OneEntry()
+    passes = [list(DIGEST_FUNCTIONS)]
+else:
+    warm_up = list(DIGEST_FUNCTIONS)
+    random.Random(43).shuffle(warm_up)
+    passes = [warm_up, list(DIGEST_FUNCTIONS)]
+digests = [{name: DIGEST_FUNCTIONS[name]() for name in names} for names in passes]
+print(json.dumps({"limits": sorted(m.cache_info().maxsize for m in _memo.MEMOS), "passes": digests}))
+"""
+
+
+def test_digests_do_not_depend_on_the_memo_history():
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _MEMO_HISTORY, history],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for history in ("one", "shuffled")
+    ]
+    one, shuffled = (json.loads(run.communicate(timeout=300)[0]) for run in runs)
+    assert one["limits"] == [1, 1, 1, 1] and shuffled["limits"] == [64, 4096, 4096, 4096]
+    expected = json.loads(DIGESTS.read_text())
+    for digests in one["passes"] + shuffled["passes"]:
+        assert digests == expected
+
+
 if __name__ == "__main__":
     print(json.dumps({name: fn() for name, fn in DIGEST_FUNCTIONS.items()}, indent=2))

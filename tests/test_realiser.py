@@ -545,24 +545,39 @@ def test_shared_steps_are_written_once(monkeypatch):
     assert text == json.dumps(certificate_to_jsonable(second), indent=2)
 
 
+MEMO_LIMITS = {
+    dsl._parse_term: 4096,
+    realiser._geometric_blocks: 4096,
+    realiser._built_sumset_construction: 64,
+    realiser._bundle: 4096,
+}
+
+
 def test_pass_memos_are_bounded_and_emptied_with_the_cache():
-    memos = (dsl._TERMS, realiser._BLOCKS, realiser._CONSTRUCTIONS, realiser._BUNDLES)
-    assert sorted(map(id, _memo.MEMOS)) == sorted(map(id, memos))
+    assert sorted(map(id, _memo.MEMOS)) == sorted(map(id, MEMO_LIMITS))
     assert all(m is not engine._CACHE for m in _memo.MEMOS)
     engine.clear_cache()
     for i in range(5000):
         parse_expr(f"K(2;{i}) # K(2;1) x S1")
         _geometric_blocks(2, i, 2)
         _sumset_construction(SubsetSums((i,)), 2)
-        assert len(dsl._TERMS) <= 4096 and len(realiser._BLOCKS) <= 4096
-        assert len(realiser._CONSTRUCTIONS) <= 64
-        assert len(realiser._BUNDLES) <= 4096
-    assert all(memos)
+        for memo, limit in MEMO_LIMITS.items():
+            info = memo.cache_info()
+            assert info.maxsize == limit and info.currsize <= limit
+    assert all(memo.cache_info().currsize == limit for memo, limit in MEMO_LIMITS.items())
     engine.clear_cache()
-    assert not any(memos)
+    assert not any(memo.cache_info().currsize for memo in MEMO_LIMITS)
     long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
-    assert not dsl._TERMS
+    assert dsl._parse_term.cache_info().currsize == 0
+
+
+def test_the_memos_keep_recently_used_entries():
+    engine.clear_cache()
+    kept = [realiser._bundle(2, e) for e in range(5000)][1000]
+    # the least recently used entries went, and e = 1000 is not among them
+    assert realiser._bundle(2, 1000) is kept
+    assert realiser._bundle.cache_info().currsize == 4096
 
 
 def test_a_dict_put_in_place_of_the_pair_cache_is_bounded_and_emptied(monkeypatch):
@@ -618,9 +633,10 @@ def test_realiser_and_checker_share_the_bundle_objects(monkeypatch):
     assert check_certificate(cert).ok
     (m, n, _), = seen
     assert m is cert.m and n is cert.n
-    memo = realiser._BUNDLES
+    misses = realiser._bundle.cache_info().misses
     for bundle in _bundles(cert.m) + [cert.n]:
-        assert memo[BASE_GENUS, bundle.euler] is bundle
+        assert realiser._bundle(BASE_GENUS, bundle.euler) is bundle
+    assert realiser._bundle.cache_info().misses == misses
     # another spec's construction takes the same objects for the same bundles
     other = realise_arith_intervals(ArithIntervals(((-6, -4), (-1, 1), (4, 6))))
     assert other.n is cert.n
@@ -640,7 +656,7 @@ def test_constructions_refuse_a_genus_that_is_not_an_int():
         with pytest.raises(MalformedExpr, match="must be ints"):
             _geometric_blocks(2, 5, genus)
         # a refused genus leaves nothing in the memos for an equal plain genus to find
-        assert not realiser._BUNDLES and not realiser._CONSTRUCTIONS and not realiser._BLOCKS
+        assert not any(memo.cache_info().currsize for memo in MEMO_LIMITS)
     m, n, params = _sumset_construction(spec, 2)
     assert all(type(b.base_genus) is int for b in _bundles(m) + [n])
     assert type(params["base_genus"]) is int
@@ -651,7 +667,7 @@ def test_an_equal_genus_of_another_type_records_the_int_genus():
     spec = ArithIntervals(((-2, -1), (0, 1), (2, 3)))
     engine.clear_cache()
     _sumset_construction(spec, 2)
-    realiser._CONSTRUCTIONS.clear()
+    realiser._built_sumset_construction.cache_clear()
     # a hit in the bundle memo: N is the int-genus bundle, and params record its genus
     m, n, params = _sumset_construction(spec, 2.0)
     assert type(n.base_genus) is type(params["base_genus"]) is int
@@ -668,15 +684,19 @@ def _nodes(m):
 
 def test_decoded_certificates_take_nothing_from_the_memos():
     engine.clear_cache()
+    built = {}  # the nodes of every realised M and N, kept alive so ids stay theirs
     for make in GOLDEN_CASES.values():
         cert = make()
+        nodes = _nodes(cert.m) + _nodes(cert.n)
+        # the realised nodes are the memos' objects
+        for x in nodes:
+            if isinstance(x, CircleBundle):
+                assert realiser._bundle(x.base_genus, x.euler) is x
+        built.update((id(x), x) for x in nodes)
         decoded = certificate_from_json(certificate_to_json(cert))
         assert decoded.m == cert.m and decoded.n == cert.n
-        built = {id(b) for b in realiser._BUNDLES.values()}
-        built |= {id(x) for c in realiser._CONSTRUCTIONS.values() for x in c[:2]}
-        built |= {id(x) for pair in realiser._BLOCKS.values() for x in pair}
         held = {id(x) for side in (decoded.m, decoded.n) for x in _nodes(side)}
-        assert not built & held, make
+        assert not built.keys() & held, make
 
 
 @pytest.mark.parametrize(
