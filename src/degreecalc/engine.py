@@ -493,26 +493,13 @@ def _pairings(
     mf: tuple[ManifoldExpr, ...], nf: tuple[ManifoldExpr, ...]
 ) -> Iterator[list[tuple[ManifoldExpr, ManifoldExpr]]]:
     """The distinct dimension-compatible pairings of mf with nf, lazily, in
-    permutation order.  Two permutations give the same pairing exactly when
-    they differ by swapping equal factors of nf, so a pairing is told apart
-    by the ids of the distinct nf factors it uses."""
-    mdims = [dimension(f) for f in mf]
-    ndims = [dimension(f) for f in nf]
-    ids: dict[ManifoldExpr, int] = {}
-    nids = [ids.setdefault(f, len(ids)) for f in nf]
-    seen: set[tuple[int, ...]] = set()
-    if len(mf) > 6:
-        perms = [tuple(range(len(nf)))]
-    else:
-        perms = permutations(range(len(nf)))
-    for perm in perms:
-        if any(mdims[i] != ndims[p] for i, p in enumerate(perm)):
-            continue
-        key = tuple(nids[p] for p in perm)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield [(mf[i], nf[p]) for i, p in enumerate(perm)]
+    permutation order: a permutation that puts the same factors of nf in the
+    same places as an earlier one gives the same pairing and is skipped."""
+    seen: set[tuple[ManifoldExpr, ...]] = set()
+    for perm in [nf] if len(mf) > 6 else permutations(nf):
+        if all(dimension(a) == dimension(b) for a, b in zip(mf, perm)) and perm not in seen:
+            seen.add(perm)
+            yield list(zip(mf, perm))
 
 
 def _product_pair(m: Product, n: Product) -> SetBound:

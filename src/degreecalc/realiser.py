@@ -12,15 +12,15 @@ Four families of target sets are supported:
   connected sums of circle bundles.
 
 Each family has one construction, :func:`_sumset_construction` or
-:func:`_geometric_construction`, from the spec and the free choices (base
-genus, block primes) to M, N and the recorded params; the checker compares a
-certificate with it by equality.  Every realisation returns a
-:class:`Certificate` whose derivation is the calculator's own trace; building
-one re-runs the calculator and demands an exact answer equal to the
-constructed target, so a certificate cannot be produced unless construction
-and calculus agree.  :func:`certificate_to_json` writes a certificate as
-``json.dumps(certificate_to_jsonable(cert), indent=2)`` does, and only a JSON
-value written exactly so decodes.
+:func:`_geometric_construction`: a memoised value of the spec and the free
+choices (base genus, block primes), namely M, N and the params, with which the
+checker compares a certificate by equality.  A realisation returns a
+:class:`Certificate` with its own copy of the params and the calculator's own
+trace as derivation; building one re-runs the calculator and demands an exact
+answer equal to the constructed target, so a certificate cannot be produced
+unless construction and calculus agree.  :func:`certificate_to_json` writes a
+certificate as ``json.dumps(certificate_to_jsonable(cert), indent=2)`` does,
+and only a JSON value written exactly so decodes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .manifold import CircleBundle, ConnSum, ManifoldExpr, Product, dimension
 from .manifold import normalize  # held by perfbench/tests (traced_run)
 
 BASE_GENUS = 2
+_CONTAINERS = {list, dict}  # the params values that a certificate gets its own copy of
 
 
 class InvalidSpec(ValueError):
@@ -156,13 +157,15 @@ class Certificate:
 def _certified(
     spec: RealisationSpec, m: ManifoldExpr, n: ManifoldExpr, params: dict[str, object]
 ) -> Certificate:
+    """A decided construction's certificate, with its own copy of the memoised params."""
     bound = engine._bounds(m, n)
     if not bound.exact:
         raise RealisationFailed(
             f"construction for {spec!r} is not decided by the calculator: "
             f"lower {bound.lower}, upper {bound.upper}"
         )
-    return Certificate(spec, bound.lower, m, n, params, bound.trace)
+    own = params | {k: v.copy() for k, v in params.items() if type(v) in _CONTAINERS}
+    return Certificate(spec, bound.lower, m, n, own, bound.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +210,21 @@ def _sumset_family(
     return (1, d2), (c_k, l - k), (-b_k, k - 1)
 
 
+# The checker asks for what the realiser has just built: 64 entries are enough.
+@memo(64)
 def _sumset_construction(
     spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
     """M, N and params realising {sum m_i d_i | -n'_i <= m_i <= n_i} for the
     family of :func:`_sumset_family`, over base genus ``genus``, built once
-    while in the memo.  Each call gets its own params, their ``d_i_prime``
-    list copied too, so params edited in place differ from the construction.
+    while in the memo.  Every caller gets the memo's objects, params included,
+    and must not edit them; a certificate owns a copy of the params.
 
     N is the bundle with Euler number d' = prod d_i; for each i, M gets n_i
     summands with Euler number d'/d_i and n'_i with -d'/d_i, so each summand
     contributes {0, d_i} or {0, -d_i} and the contributions add over the
     connected sum.
     """
-    m_expr, n_expr, params = _built_sumset_construction(spec, genus)
-    return m_expr, n_expr, {**params, "d_i_prime": list(params["d_i_prime"])}
-
-
-# The checker asks for what the realiser has just built: 64 entries are enough.
-@memo(64)
-def _built_sumset_construction(
-    spec: SumsetFamily | ArithIntervals | SubsetSums, genus: int
-) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
-    """The construction of :func:`_sumset_construction`, its params uncopied."""
     d, n, nprime = _sumset_family(spec)
     d_prime = math.prod(d)
     d_i_prime = [d_prime // x for x in d]
@@ -336,7 +331,7 @@ def _geometric_blocks(d: int, q: int, genus: int) -> tuple[ManifoldExpr, Manifol
     """The block pair (Q, P) for value d and prime q: Q = d K(g;q) # K(g;d) #
     K(g;d^2) and P = K(g;q) # K(g;d^2).  Counted, since K(g;d) = K(g;d^2) at d = 1
     and a certificate under check may record any integer q.  Built once while
-    in the block memo, so the realiser and the checker share the blocks, and
+    in the block memo, so that constructions share the blocks across specs, and
     with them each block's kept text and equality by identity."""
     source = Counter({q: d})
     source.update((d, d * d))
@@ -348,10 +343,13 @@ def _block_values(spec: Geometric) -> list[int]:
     return [x for x in spec.d if x > 1] or [1]
 
 
+@memo(64)
 def _geometric_construction(
-    spec: Geometric, qs: list[int], genus: int
+    spec: Geometric, qs: tuple[int, ...], genus: int
 ) -> tuple[ManifoldExpr, ManifoldExpr, dict[str, object]]:
-    """M, N and params of the block products for the primes ``qs``, one per block value."""
+    """M, N and params of the block products for the primes ``qs``, one per block value, built
+    once while in the memo; only int choices are built, so an equal 2.0 finds only theirs."""
+    _check_ints("free choices", (*qs, genus))
     core = _block_values(spec)
     blocks = [_geometric_blocks(d, q, genus) for d, q in zip(core, qs)]
     if len(blocks) == 1:
@@ -391,7 +389,7 @@ def realise_geometric(spec: Geometric) -> Certificate:
     qs = [next_prime(max(*spec.d, 2))]
     for _ in _block_values(spec)[1:]:
         qs.append(next_prime(qs[-1]))
-    return _certified(spec, *_geometric_construction(spec, qs, BASE_GENUS))
+    return _certified(spec, *_geometric_construction(spec, tuple(qs), BASE_GENUS))
 
 
 # ---------------------------------------------------------------------------

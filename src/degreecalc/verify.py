@@ -288,7 +288,7 @@ def _check_params(cert: Certificate, problems: list[str]) -> None:
             problems.append(f"q values {qs} are not strictly ascending")
         if qs[0] <= max(spec.d):
             problems.append(f"q1 = {qs[0]} does not exceed max d = {max(spec.d)}")
-        m, n, expected = _geometric_construction(spec, qs, genus)
+        m, n, expected = _geometric_construction(spec, tuple(qs), genus)
     else:
         try:
             m, n, expected = _sumset_construction(spec, genus)

@@ -27,6 +27,7 @@ from degreecalc.realiser import (
     SumsetFamily,
     ZeroNotContained,
     _geometric_blocks,
+    _geometric_construction,
     _is_prime,
     _layout,
     _sumset_construction,
@@ -548,7 +549,8 @@ def test_shared_steps_are_written_once(monkeypatch):
 MEMO_LIMITS = {
     dsl._parse_term: 4096,
     realiser._geometric_blocks: 4096,
-    realiser._built_sumset_construction: 64,
+    realiser._sumset_construction: 64,
+    realiser._geometric_construction: 64,
     realiser._bundle: 4096,
 }
 
@@ -561,6 +563,7 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
         parse_expr(f"K(2;{i}) # K(2;1) x S1")
         _geometric_blocks(2, i, 2)
         _sumset_construction(SubsetSums((i,)), 2)
+        _geometric_construction(Geometric((2,)), (i,), 2)
         for memo, limit in MEMO_LIMITS.items():
             info = memo.cache_info()
             assert info.maxsize == limit and info.currsize <= limit
@@ -597,25 +600,62 @@ def test_a_dict_put_in_place_of_the_pair_cache_is_bounded_and_emptied(monkeypatc
     assert not cache
 
 
-def test_checker_gets_the_realisers_construction_and_its_own_params():
-    cert = GOLDEN_CASES["intervals"]()
-    m, n, params = _sumset_construction(cert.spec, BASE_GENUS)
+# A golden case of each family, its construction's name and the free choices
+# after the spec, as the realiser and the checker ask for them.
+CONSTRUCTIONS = {
+    "intervals": ("_sumset_construction", (BASE_GENUS,)),
+    "geometric_2_3": ("_geometric_construction", ((5, 7), BASE_GENUS)),
+}
+
+
+def _construction(name, spec):
+    attr, choices = CONSTRUCTIONS[name]
+    return getattr(realiser, attr)(spec, *choices)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_checker_gets_the_construction_itself_and_the_certificate_a_copy(name, monkeypatch):
+    cert = GOLDEN_CASES[name]()
+    m, n, params = _construction(name, cert.spec)
     assert m is cert.m and n is cert.n
-    assert params == cert.params
-    assert params is not cert.params and params["d_i_prime"] is not cert.params["d_i_prime"]
+    assert params == cert.params and params is not cert.params
+    assert not any(isinstance(v, (list, dict)) and v is cert.params[k] for k, v in params.items())
+    seen = []
+    attr = CONSTRUCTIONS[name][0]
+    shared = getattr(verify, attr)
+    monkeypatch.setattr(verify, attr, lambda *a: seen.append(shared(*a)) or seen[-1])
+    assert check_certificate(cert).ok
+    (checked,) = seen
+    assert all(x is y for x, y in zip(checked, (m, n, params)))
 
 
-def test_each_construction_call_gets_its_own_params():
-    spec = ArithIntervals(((-3, -2), (0, 1), (3, 4)))
-    first = _sumset_construction(spec, 2)[2]
-    second = _sumset_construction(spec, 2)[2]
-    assert first is not second and first["d_i_prime"] is not second["d_i_prime"]
-    first["d_i_prime"].append(7)
-    assert second["d_i_prime"] == [3, 1]
-    assert _sumset_construction(spec, 2)[2] == second
-    cert = realise_arith_intervals(spec)
-    assert cert.params == second
-    assert verify.check_certificate(cert).ok
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_each_certificate_gets_its_own_params(name):
+    first = GOLDEN_CASES[name]()
+    params = _construction(name, first.spec)[2]
+    kept = copy.deepcopy(params)
+    for value in first.params.values():
+        if isinstance(value, list):
+            value.append(7)
+        elif isinstance(value, dict):
+            value["edited"] = True
+    assert _construction(name, first.spec)[2] is params and params == kept
+    second = GOLDEN_CASES[name]()
+    assert second.params == kept
+    assert check_certificate(second).ok and not check_certificate(first).ok
+
+
+def test_the_checker_builds_no_geometric_construction(monkeypatch):
+    engine.clear_cache()
+    cert = realise_geometric(Geometric((2, 3, 4)))
+    assert isinstance(cert.m, Product) and isinstance(cert.n, Product)
+    built = []
+    post_init = Product.__post_init__
+    monkeypatch.setattr(Product, "__post_init__", lambda p: built.append(p) or post_init(p))
+    blocks = realiser._geometric_blocks
+    monkeypatch.setattr(realiser, "_geometric_blocks", lambda *a: built.append(a) or blocks(*a))
+    assert check_certificate(cert).ok
+    assert built == []
 
 
 def _bundles(m):
@@ -655,23 +695,42 @@ def test_constructions_refuse_a_genus_that_is_not_an_int():
             _sumset_construction(spec, genus)
         with pytest.raises(MalformedExpr, match="must be ints"):
             _geometric_blocks(2, 5, genus)
+        with pytest.raises(InvalidSpec, match="free choices must be a tuple of integers"):
+            _geometric_construction(Geometric((2,)), (5,), genus)
         # a refused genus leaves nothing in the memos for an equal plain genus to find
         assert not any(memo.cache_info().currsize for memo in MEMO_LIMITS)
     m, n, params = _sumset_construction(spec, 2)
     assert all(type(b.base_genus) is int for b in _bundles(m) + [n])
     assert type(params["base_genus"]) is int
     assert print_expr(_geometric_blocks(2, 5, 3)[1]) == "K(3;4) # K(3;5)"
+    params = _geometric_construction(Geometric((2,)), (5,), 3)[2]
+    assert type(params["base_genus"]) is int
 
 
 def test_an_equal_genus_of_another_type_records_the_int_genus():
     spec = ArithIntervals(((-2, -1), (0, 1), (2, 3)))
     engine.clear_cache()
     _sumset_construction(spec, 2)
-    realiser._built_sumset_construction.cache_clear()
+    realiser._sumset_construction.cache_clear()
     # a hit in the bundle memo: N is the int-genus bundle, and params record its genus
     m, n, params = _sumset_construction(spec, 2.0)
     assert type(n.base_genus) is type(params["base_genus"]) is int
     cert = realise_arith_intervals(spec)
+    assert type(cert.params["base_genus"]) is int
+    assert check_certificate(cert).ok
+    geometric = Geometric((2, 3))
+    realise_geometric(geometric)
+    # a hit: the construction of ints
+    params = _geometric_construction(geometric, (5, 7), 2.0)[2]
+    assert type(params["base_genus"]) is int
+    realiser._geometric_construction.cache_clear()
+    # misses, though the blocks are in their memo: refused, and nothing is stored
+    # under a key equal to the realiser's
+    for qs, genus in (((5, 7), 2.0), ((5, 7), True), ((5.0, 7), 2)):
+        with pytest.raises(InvalidSpec, match="free choices"):
+            _geometric_construction(geometric, qs, genus)
+    cert = realise_geometric(geometric)
+    assert list(map(type, cert.params["q"])) == [int, int]
     assert type(cert.params["base_genus"]) is int
     assert check_certificate(cert).ok
 
