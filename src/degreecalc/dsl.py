@@ -12,7 +12,8 @@ Grammar::
 
 Whitespace is insignificant.  Parsed expressions are canonical as built, and
 :func:`print_expr` emits the canonical text, so ``parse_expr(print_expr(e)) == e``
-for every ``e`` whose text nests parentheses at most :data:`MAX_NESTING` deep.
+for every ``e`` whose text nests parentheses at most :data:`MAX_NESTING` deep;
+a text print_expr computed parses back to that very object while in a memo.
 """
 
 from __future__ import annotations
@@ -167,10 +168,12 @@ class _Parser:
 
 
 def parse_expr(text: str) -> ManifoldExpr:
-    """Parse a manifold expression."""
+    """Parse a manifold expression; a text :func:`print_expr` wrote, while in
+    its memo, is the object it wrote it for, equal to what the parse gives."""
     if type(text) is str:
+        printed = _printed(text) if len(text) <= _TERM_TEXT_MAX else None
         try:
-            expr = _parse_canonical(text)
+            expr = printed[0] if printed else _parse_canonical(text)
         except MalformedExpr:
             expr = None
         if expr is not None:
@@ -182,9 +185,16 @@ def parse_expr(text: str) -> ManifoldExpr:
 # which reports one too long for int() with its column.
 _ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
 
-# A longer term text is parsed on every call, so that the term memo's texts
-# stay bounded.
+# No memo keeps a longer text: a longer term text is parsed at every call.
 _TERM_TEXT_MAX = 4096
+
+
+@memo()
+def _printed(text: str) -> list[ManifoldExpr]:
+    """A box for the expression print_expr last wrote ``text`` for, empty until
+    then.  No text longer than _TERM_TEXT_MAX is boxed, nor one with a group
+    (a "(" first or after a space), which might nest too deep to parse."""
+    return []
 
 
 def _parse_canonical(text: str) -> ManifoldExpr | None:
@@ -232,7 +242,8 @@ def _parse_tokens(text: str) -> ManifoldExpr:
 
 def print_expr(m: ManifoldExpr) -> str:
     """Canonical text for an expression, computed on the first call for an
-    object and kept on it; a sum or product joins its parts' kept texts."""
+    object and kept on it; a sum or product joins its parts' kept texts.  A
+    computed text is memoised, so that it parses back to ``m``."""
     text = getattr(m, "_text", None)
     if text is not None:
         return text
@@ -253,4 +264,6 @@ def print_expr(m: ManifoldExpr) -> str:
     else:
         raise MalformedExpr(f"not a manifold expression: {m!r}")
     object.__setattr__(m, "_text", text)
+    if len(text) <= _TERM_TEXT_MAX and text[0] != "(" and " (" not in text:
+        _printed(text)[:] = [m]
     return text

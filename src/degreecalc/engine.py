@@ -495,11 +495,15 @@ def _pairings(
     """The distinct dimension-compatible pairings of mf with nf, lazily, in
     permutation order: a permutation that puts the same factors of nf in the
     same places as an earlier one gives the same pairing and is skipped."""
-    seen: set[tuple[ManifoldExpr, ...]] = set()
-    for perm in [nf] if len(mf) > 6 else permutations(nf):
-        if all(dimension(a) == dimension(b) for a, b in zip(mf, perm)) and perm not in seen:
-            seen.add(perm)
-            yield list(zip(mf, perm))
+    first = tuple(nf.index(f) for f in nf)  # each factor as the index of its first equal
+    mdims, ndims = tuple(map(dimension, mf)), tuple(map(dimension, nf))
+    mixed = len({*mdims, *ndims}) > 1
+    seen: set[tuple[int, ...]] = set()
+    for perm in [first] if len(mf) > 6 else permutations(first):
+        if perm in seen or mixed and any(d != ndims[i] for d, i in zip(mdims, perm)):
+            continue
+        seen.add(perm)
+        yield [(a, nf[i]) for a, i in zip(mf, perm)]
 
 
 def _product_pair(m: Product, n: Product) -> SetBound:
@@ -547,8 +551,9 @@ def _product_pair(m: Product, n: Product) -> SetBound:
             order, kills = found
             for child in children:
                 trace.extend(child.trace)
-            exact = _fold_product_sets([c.lower for c in children])
-            if not exact.is_all and not set(lower.elements) <= set(exact.elements):
+            folded = pairing is lower_pairing and not clamped  # lower is then its product set
+            exact = lower if folded else _fold_product_sets([c.lower for c in children])
+            if not (exact is lower or exact.is_all or set(lower.elements) <= set(exact.elements)):
                 raise EngineInvariantError(
                     f"factor pairing disagreement: realised {lower} "
                     f"outside decided {exact}"
@@ -580,8 +585,8 @@ def json_view(v: object) -> object:
     """How a held value is written, one level down: a trace step is its object
     (keys in written order, values as held), a DegreeSet :func:`intset.to_jsonable`,
     an expression its :func:`print_expr` text, and any other value itself.  It is
-    shallow so that ``realiser.json_text`` and a JSON encoder's ``default`` can
-    write the form without building it; :func:`jsonable` builds it."""
+    shallow so that a JSON encoder's ``default`` can write the form without
+    building it; :func:`jsonable` builds it, and ``realiser.json_text`` writes it."""
     t = type(v)
     if t is RuleApplication:
         details = dict(v.details)

@@ -319,7 +319,7 @@ def product_set(a: DegreeSet, b: DegreeSet) -> DegreeSet:
         if any(abs(x) == 1 for x in fin.elements):
             return ALL_INTEGERS
         return ZERO_ONLY
-    return DegreeSet.finite(x * y for x in a.elements for y in b.elements)
+    return DegreeSet.finite({x * y for x in a.elements for y in b.elements})
 
 
 def intersect(a: DegreeSet, b: DegreeSet) -> DegreeSet:

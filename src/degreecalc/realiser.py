@@ -33,7 +33,7 @@ from typing import Mapping
 
 from . import engine, intset
 from ._memo import memo
-from .dsl import parse_expr
+from .dsl import parse_expr, print_expr
 from .engine import RuleApplication
 from .intset import DegreeSet
 from .manifold import CircleBundle, ConnSum, ManifoldExpr, Product, dimension
@@ -478,9 +478,9 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def json_text(v: object) -> str:
     """``json.dumps(engine.jsonable(v), indent=2)``, built from C-level
-    pieces without building that value: every value is written as its
-    :func:`engine.json_view`.  Object keys must be strings, and a value of
-    any other type raises TypeError, as it does in ``json.dumps``.
+    pieces without building that value or a step's :func:`engine.json_view`.
+    Object keys must be strings, and a value of any other type raises
+    TypeError, as it does in ``json.dumps``.
     """
     return _json_text(v, "")
 
@@ -492,23 +492,33 @@ _INT_ONLY = {int}
 
 def _json_text(v: object, indent: str) -> str:
     """:func:`json_text` of ``v`` nested at ``indent``."""
-    if type(v) is RuleApplication:
-        return _step_text(v, indent)
-    v = engine.json_view(v)
     t = type(v)
-    if t is str:
-        return _escape(v)
-    if t is int:
-        return int.__repr__(v)
+    if t is RuleApplication:
+        return _step_text(v, indent)
     if t is list or t is tuple:
         if not v:
             return "[]"
         inner = indent + "  "
-        if set(map(type, v)) == _INT_ONLY:
+        types = set(map(type, v))
+        if types == _INT_ONLY:
             items = map(int.__repr__, v)
+        elif types.issubset(engine._EXPR_TYPES):
+            items = [_escape(print_expr(x)) for x in v]
         else:
             items = [_json_text(x, inner) for x in v]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if t is str:
+        return _escape(v)
+    if t is int:
+        return int.__repr__(v)
+    if t in engine._EXPR_TYPES:
+        return _escape(print_expr(v))
+    if t is DegreeSet:  # as intset.to_jsonable has it
+        inner = indent + "  "
+        if v.is_all:
+            return f'{{\n{inner}"kind": "all_integers"\n{indent}}}'
+        elements = _json_text(v.elements, inner)
+        return f'{{\n{inner}"kind": "finite",\n{inner}"elements": {elements}\n{indent}}}'
     if t is dict:
         if not v:
             return "{}"
@@ -529,19 +539,21 @@ def _json_text(v: object, indent: str) -> str:
     return json.dumps(v)
 
 
-# The indent of a step in a certificate's "derivation" list.
+# A step's indent in a certificate's "derivation" list, and its text there.
 _STEP_INDENT = "    "
+_STEP = '{\n      "rule": %s,\n      "inputs": %s,\n      "produced": %s,\n      "details": %s\n    }'
 
 
 def _step_text(step: RuleApplication, indent: str) -> str:
-    """:func:`_json_text` of a trace step, kept on the step at the indent of a
-    certificate's steps, so that a certificate takes it as it is.  At another
-    indent it is re-indented by one replace: every control character inside a
-    string is escaped, so each newline in the text is one of the writer's own
-    line breaks, followed by at least that indent."""
+    """:func:`_json_text` of a trace step, written from ``_STEP`` and kept on
+    the step at the indent of a certificate's steps, so that a certificate
+    takes it as it is.  At another indent it is re-indented by one replace:
+    every control character inside a string is escaped, so each newline in the
+    text is one of the writer's own line breaks, followed by at least that indent."""
     text = getattr(step, "_text", None)
     if text is None:
-        text = _json_text(engine.json_view(step), _STEP_INDENT)
+        parts = step.rule, step.inputs, step.produced, dict(step.details)
+        text = _STEP % tuple(_json_text(x, _STEP_INDENT + "  ") for x in parts)
         object.__setattr__(step, "_text", text)
     if indent != _STEP_INDENT:
         text = text.replace("\n" + _STEP_INDENT, "\n" + indent)

@@ -340,7 +340,7 @@ def test_digests_do_not_depend_on_the_memo_history():
         for history in ("one", "shuffled")
     ]
     one, shuffled = (json.loads(run.communicate(timeout=300)[0]) for run in runs)
-    assert one["limits"] == [1] * 5 and shuffled["limits"] == [64, 64, 4096, 4096, 4096]
+    assert one["limits"] == [1] * 6 and shuffled["limits"] == [64, 64, 4096, 4096, 4096, 4096]
     expected = json.loads(DIGESTS.read_text())
     for digests in one["passes"] + shuffled["passes"]:
         assert digests == expected

@@ -340,3 +340,22 @@ class TestCanonicalPath:
                 assert text.startswith("K(") and int(text[2:].split(";")[0]) < 2
         for text in ["S(" + "9" * 19 + ")", "K(2;-" + "1" * 19 + ")", "K(" + "2" * 19 + ";1)"]:
             assert not dsl._ATOM_RE.fullmatch(text)
+
+    def test_a_printed_text_parses_back_to_the_object_that_printed_it(self):
+        engine.clear_cache()
+        k50 = K(2, 50)
+        flat = Product((ConnSum({K(2, 1): 2, k50: 1}), CIRCLE))
+        grouped = ConnSum((Product((CIRCLE, Surface(7))), K(2, 1)))
+        text = print_expr(flat)
+        assert parse_expr(text) is flat and parse_expr("K(2;50)") is k50
+        # a text with a parenthesised group is not kept: it parses as any text
+        assert parse_expr(print_expr(grouped)) == grouped
+        assert parse_expr(print_expr(grouped)) is not grouped
+        # no other text, and nothing that is not a str, finds the object
+        for other in [f" {text}", text.replace("50", "050"), [text], text.encode(), None]:
+            assert _outcome(parse_expr, other) == _outcome(dsl._parse_tokens, other)
+            assert _outcome(parse_expr, other) is not flat
+        # the table is emptied with the cache, and a kept text is not put back
+        engine.clear_cache()
+        assert print_expr(flat) == text
+        assert parse_expr(text) == flat and parse_expr(text) is not flat

@@ -12,11 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from degreecalc import _memo, dsl, engine, realiser, verify
+from degreecalc import _memo, dsl, engine, intset, realiser, verify
 from degreecalc.dsl import parse_expr, print_expr
 from degreecalc.engine import RuleApplication, degree_set_exact
 from degreecalc.intset import DegreeSet
-from degreecalc.manifold import CircleBundle, ConnSum, MalformedExpr, Product, normalize
+from degreecalc.manifold import (
+    CIRCLE,
+    CircleBundle,
+    ConnSum,
+    MalformedExpr,
+    Product,
+    dimension,
+    normalize,
+)
 from degreecalc.realiser import (
     BASE_GENUS,
     ArithIntervals,
@@ -43,6 +51,8 @@ from degreecalc.realiser import (
     realise_sumset,
 )
 from degreecalc.verify import check_certificate
+
+from conftest import random_expr
 
 fin = DegreeSet.finite
 
@@ -531,23 +541,58 @@ def test_certificate_json_is_json_dumps_of_its_jsonable_form():
             assert json_text(value) == json.dumps(engine.jsonable(value), indent=2)
 
 
+def test_step_text_is_json_dumps_of_the_step_at_every_indent():
+    steps = [e for make in GOLDEN_CASES.values() for e in make().derivation]
+    rng = random.Random(45)
+    pairs = 0
+    while pairs < 500:
+        m, n = random_expr(rng), random_expr(rng)
+        if dimension(m) == dimension(n):
+            steps += engine.degree_bounds(m, n).trace
+            pairs += 1
+    hostile = 'a\x00\x1f\n\t"q" \\ é \u2028'
+    steps += [
+        RuleApplication("undetermined", (), intset.EMPTY),
+        RuleApplication(hostile, (CIRCLE,), intset.ALL_INTEGERS, (("reason", hostile),)),
+        RuleApplication(
+            "target_summand_intersection",
+            (CircleBundle(2, 1), CircleBundle(2, 1)),
+            intset.EMPTY,
+            (
+                ("summand_uppers", ((CircleBundle(2, 1), intset.ALL_INTEGERS), (CIRCLE, "unknown"))),
+                ("sets", (intset.EMPTY, fin([-3, 0, 7]))),
+                (hostile, (-(2**63), True, False, None, ())),
+            ),
+        ),
+    ]
+    for step in steps:
+        fresh = RuleApplication(step.rule, step.inputs, step.produced, step.details)
+        expected = json.dumps(engine.jsonable(step), indent=2)
+        for indent in (realiser._STEP_INDENT, "", "      "):
+            text = realiser._step_text(fresh, indent)
+            assert text == expected.replace("\n", "\n" + indent), step
+
+
 def test_shared_steps_are_written_once(monkeypatch):
     engine.clear_cache()
     first = realise_geometric(Geometric((3, 4)))
     second = realise_geometric(Geometric((3,)))  # the first's (3, 5) block
     assert {id(e) for e in second.derivation} <= {id(e) for e in first.derivation}
     certificate_to_json(first)
-    viewed = []
-    view = engine.json_view
-    monkeypatch.setattr(engine, "json_view", lambda v: viewed.append(v) or view(v))
+    written = []
+    write = realiser._json_text
+    monkeypatch.setattr(realiser, "_json_text", lambda v, indent: written.append(v) or write(v, indent))
     text = certificate_to_json(second)
-    assert viewed and not any(isinstance(v, RuleApplication) for v in viewed)
     monkeypatch.undo()
+    # every step is reached, and none writes its parts again
+    assert sum(type(v) is RuleApplication for v in written) == len(second.derivation)
+    assert not {id(e.inputs) for e in second.derivation} & set(map(id, written))
     assert text == json.dumps(certificate_to_jsonable(second), indent=2)
 
 
 MEMO_LIMITS = {
     dsl._parse_term: 4096,
+    dsl._printed: 4096,
     realiser._geometric_blocks: 4096,
     realiser._sumset_construction: 64,
     realiser._geometric_construction: 64,
@@ -560,7 +605,7 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
     assert all(m is not engine._CACHE for m in _memo.MEMOS)
     engine.clear_cache()
     for i in range(5000):
-        parse_expr(f"K(2;{i}) # K(2;1) x S1")
+        print_expr(parse_expr(f"K(2;{i}) # K(2;1) x S1"))
         _geometric_blocks(2, i, 2)
         _sumset_construction(SubsetSums((i,)), 2)
         _geometric_construction(Geometric((2,)), (i,), 2)
@@ -571,8 +616,10 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
     engine.clear_cache()
     assert not any(memo.cache_info().currsize for memo in MEMO_LIMITS)
     long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
+    assert print_expr(parse_expr(long_term)) == long_term
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
     assert dsl._parse_term.cache_info().currsize == 0
+    assert dsl._printed.cache_info().currsize == 1  # K(2;3)
 
 
 def test_the_memos_keep_recently_used_entries():
@@ -735,27 +782,40 @@ def test_an_equal_genus_of_another_type_records_the_int_genus():
     assert check_certificate(cert).ok
 
 
-def _nodes(m):
-    """m, its factors and their summands."""
-    factors = m.factors if isinstance(m, Product) else (m,)
-    return [m, *factors, *(b for f in factors for b in _bundles(f))]
+def test_decoded_certificates_are_the_memos_objects_by_their_texts(monkeypatch):
+    """A decoded M or N is the object that printed its text, and that identity
+    is earned: the object equals the tokenizer's parse of the text and prints
+    that text back, and a text with one Euler number edited decodes to a new
+    object, which the checker compares by value and rejects."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import workloads  # read only: the benchmark's seed-201 geometric inputs
 
-
-def test_decoded_certificates_take_nothing_from_the_memos():
+    raws = workloads.make("geometric_roundtrip", 201).inputs()
     engine.clear_cache()
-    built = {}  # the nodes of every realised M and N, kept alive so ids stay theirs
-    for make in GOLDEN_CASES.values():
-        cert = make()
-        nodes = _nodes(cert.m) + _nodes(cert.n)
-        # the realised nodes are the memos' objects
-        for x in nodes:
-            if isinstance(x, CircleBundle):
-                assert realiser._bundle(x.base_genus, x.euler) is x
-        built.update((id(x), x) for x in nodes)
-        decoded = certificate_from_json(certificate_to_json(cert))
-        assert decoded.m == cert.m and decoded.n == cert.n
-        held = {id(x) for side in (decoded.m, decoded.n) for x in _nodes(side)}
-        assert not built.keys() & held, make
+    certs = [make() for make in GOLDEN_CASES.values()]
+    certs += [realise_geometric(Geometric(raw)) for raw in raws]
+    assert len(certs) == 207
+    texts = []
+    for k, cert in enumerate(certs):
+        texts.append(certificate_to_json(cert))
+        decoded = certificate_from_json(texts[-1])
+        obj = json.loads(texts[-1])
+        for side, held, built in (("M", decoded.m, cert.m), ("N", decoded.n, cert.n)):
+            assert held == dsl._parse_tokens(obj[side])
+            assert print_expr(held) == obj[side]
+            # decoded just after it is written, as in the benchmark's pass, a
+            # geometric certificate gets the realiser's objects
+            assert held is built or k < len(GOLDEN_CASES)
+    for cert, text in zip(certs, texts):
+        obj = json.loads(text)
+        # the last Euler number is its sum's largest, so the edit keeps the text canonical
+        head, last, euler = obj["M"].rpartition("K(2;")
+        obj["M"] = f"{head}{last}{int(euler[:-1]) + 1000})"
+        assert print_expr(dsl._parse_tokens(obj["M"])) == obj["M"]
+        edited = certificate_from_json(json.dumps(obj, indent=2))
+        assert edited.m is not cert.m and edited.m == dsl._parse_tokens(obj["M"])
+        mismatches = check_certificate(edited).mismatches
+        assert "source summands do not match the family multiplicities" in mismatches
 
 
 @pytest.mark.parametrize(
