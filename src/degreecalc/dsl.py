@@ -13,13 +13,13 @@ Grammar::
 Whitespace is insignificant.  Parsed expressions are canonical as built, and
 :func:`print_expr` emits the canonical text, so ``parse_expr(print_expr(e)) == e``
 for every ``e`` whose text nests parentheses at most :data:`MAX_NESTING` deep;
-a text print_expr computed parses back to that very object while in a memo.
+a text print_expr computed parses back to that very object while it is in
+the one table of texts that printing and parsing fill.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from ._memo import memo
 from .manifold import (
@@ -168,16 +168,15 @@ class _Parser:
 
 
 def parse_expr(text: str) -> ManifoldExpr:
-    """Parse a manifold expression; a text :func:`print_expr` wrote, while in
-    its memo, is the object it wrote it for, equal to what the parse gives."""
+    """Parse a manifold expression.  A text in print_expr's layout is looked up
+    in one table of texts, which :func:`print_expr` fills with the object it
+    wrote a text for and a parse with the object it built; while a text is
+    there it parses to that object, equal to what the tokenizer gives."""
     if type(text) is str:
-        printed = _printed(text) if len(text) <= _TERM_TEXT_MAX else None
         try:
-            expr = printed[0] if printed else _parse_canonical(text)
-        except MalformedExpr:
-            expr = None
-        if expr is not None:
-            return expr
+            return _parse_canonical(text)
+        except MalformedExpr:  # not in that layout, or no manifold
+            pass
     return _parse_tokens(text)
 
 
@@ -185,45 +184,35 @@ def parse_expr(text: str) -> ManifoldExpr:
 # which reports one too long for int() with its column.
 _ATOM_RE = re.compile(r"K\([0-9]{1,18};-?[0-9]{1,18}\)|S\([0-9]{1,18}\)|S1")
 
-# No memo keeps a longer text: a longer term text is parsed at every call.
-_TERM_TEXT_MAX = 4096
+# The table keeps no longer text: such a text is parsed at every call.
+_TEXT_MAX = 4096
 
 
 @memo()
-def _printed(text: str) -> list[ManifoldExpr]:
-    """A box for the expression print_expr last wrote ``text`` for, empty until
-    then.  No text longer than _TERM_TEXT_MAX is boxed, nor one with a group
-    (a "(" first or after a space), which might nest too deep to parse."""
+def _box(text: str) -> list[ManifoldExpr]:
+    """The table: a box for the expression of a text in print_expr's layout,
+    empty until print_expr writes the text or _parse_canonical parses it."""
     return []
 
 
-def _parse_canonical(text: str) -> ManifoldExpr | None:
+def _parse_canonical(text: str) -> ManifoldExpr:
     """The expression of a text in print_expr's layout without parentheses
     (atoms joined by " # " into terms, terms joined by " x "), such as a
-    certificate's M and N, each term text parsed once while it is in the term
-    memo; None if the text is not in that layout."""
-    factors: list[ManifoldExpr] = []
-    for term in text.split(" x "):
-        expr = (_parse_term if len(term) <= _TERM_TEXT_MAX else _parse_term.__wrapped__)(term)
-        if expr is None:
-            return None
-        factors.append(expr)
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-
-@memo()
-def _parse_term(term: str) -> ManifoldExpr | None:
-    """The expression of one term text, each distinct atom text parsed once;
-    None if a piece is not an atom as print_expr writes it."""
-    pieces = term.split(" # ")
-    counts: dict[ManifoldExpr, int] = {}
-    for piece, k in Counter(pieces).items():
-        if not _ATOM_RE.fullmatch(piece):
-            return None
-        atom = _Parser(_tokenize(piece)).parse_atom()
-        # "K(2;1)" and "K(2;01)" are one atom: count per atom, not per text
-        counts[atom] = counts.get(atom, 0) + k
-    return atom if len(pieces) == 1 else ConnSum(counts)
+    certificate's M and N, each term and atom text parsed through the table,
+    so that a text in it is parsed once.  MalformedExpr if the text is not in
+    that layout or names no manifold; its box is then left empty."""
+    box = _box(text) if len(text) <= _TEXT_MAX else []
+    if not box:
+        if " x " in text:
+            box.append(Product(tuple(map(_parse_canonical, text.split(" x ")))))
+        elif " # " in text:
+            # "K(2;1)" and "K(2;01)" are one atom: the sum counts per atom, not per text
+            box.append(ConnSum(map(_parse_canonical, text.split(" # "))))
+        elif _ATOM_RE.fullmatch(text):
+            box.append(_Parser(_tokenize(text)).parse_atom())
+        else:
+            raise MalformedExpr("not in print_expr's layout")
+    return box[0]
 
 
 def _parse_tokens(text: str) -> ManifoldExpr:
@@ -243,7 +232,8 @@ def _parse_tokens(text: str) -> ManifoldExpr:
 def print_expr(m: ManifoldExpr) -> str:
     """Canonical text for an expression, computed on the first call for an
     object and kept on it; a sum or product joins its parts' kept texts.  A
-    computed text is memoised, so that it parses back to ``m``."""
+    computed text is put in :func:`parse_expr`'s table, so that it parses
+    back to ``m``."""
     text = getattr(m, "_text", None)
     if text is not None:
         return text
@@ -264,6 +254,8 @@ def print_expr(m: ManifoldExpr) -> str:
     else:
         raise MalformedExpr(f"not a manifold expression: {m!r}")
     object.__setattr__(m, "_text", text)
-    if len(text) <= _TERM_TEXT_MAX and text[0] != "(" and " (" not in text:
-        _printed(text)[:] = [m]
+    # no text with a group (a "(" first or after a space), which might nest
+    # too deep to parse, is put in the table
+    if len(text) <= _TEXT_MAX and text[0] != "(" and " (" not in text:
+        _box(text)[:] = [m]
     return text

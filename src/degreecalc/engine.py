@@ -542,16 +542,18 @@ def _product_pair(m: Product, n: Product) -> SetBound:
 
     if all(dimension(f) == 3 for f in mf):
         for pairing in chain([lower_pairing], pairings):
-            children = [_bounds(a, b) for a, b in pairing]
+            lowest = pairing is lower_pairing  # its children and steps are in hand
+            if not lowest:
+                children = [_bounds(a, b) for a, b in pairing]
             if not all(c.exact for c in children):
                 continue
             found = _chain_search(pairing)
             if found is None:
                 continue
             order, kills = found
-            for child in children:
-                trace.extend(child.trace)
-            folded = pairing is lower_pairing and not clamped  # lower is then its product set
+            if not lowest:
+                trace.extend(step for child in children for step in child.trace)
+            folded = lowest and not clamped  # lower is then its product set
             exact = lower if folded else _fold_product_sets([c.lower for c in children])
             if not (exact is lower or exact.is_all or set(lower.elements) <= set(exact.elements)):
                 raise EngineInvariantError(

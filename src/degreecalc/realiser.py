@@ -478,7 +478,8 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def json_text(v: object) -> str:
     """``json.dumps(engine.jsonable(v), indent=2)``, built from C-level
-    pieces without building that value or a step's :func:`engine.json_view`.
+    pieces without building that value or a step's :func:`engine.json_view`;
+    a DegreeSet is written as its :func:`intset.to_jsonable` form.
     Object keys must be strings, and a value of any other type raises
     TypeError, as it does in ``json.dumps``.
     """
@@ -499,11 +500,8 @@ def _json_text(v: object, indent: str) -> str:
         if not v:
             return "[]"
         inner = indent + "  "
-        types = set(map(type, v))
-        if types == _INT_ONLY:
+        if set(map(type, v)) == _INT_ONLY:
             items = map(int.__repr__, v)
-        elif types.issubset(engine._EXPR_TYPES):
-            items = [_escape(print_expr(x)) for x in v]
         else:
             items = [_json_text(x, inner) for x in v]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
@@ -513,12 +511,8 @@ def _json_text(v: object, indent: str) -> str:
         return int.__repr__(v)
     if t in engine._EXPR_TYPES:
         return _escape(print_expr(v))
-    if t is DegreeSet:  # as intset.to_jsonable has it
-        inner = indent + "  "
-        if v.is_all:
-            return f'{{\n{inner}"kind": "all_integers"\n{indent}}}'
-        elements = _json_text(v.elements, inner)
-        return f'{{\n{inner}"kind": "finite",\n{inner}"elements": {elements}\n{indent}}}'
+    if t is DegreeSet:
+        return _json_text(intset.to_jsonable(v), indent)
     if t is dict:
         if not v:
             return "{}"

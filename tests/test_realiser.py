@@ -4,8 +4,11 @@ import copy
 import itertools
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -542,6 +545,10 @@ def test_certificate_json_is_json_dumps_of_its_jsonable_form():
 
 
 def test_step_text_is_json_dumps_of_the_step_at_every_indent():
+    """Steps, degree sets and lists of expressions are written as json.dumps
+    writes their jsonable form, at a step's indent and at two others.  A
+    DegreeSet is written through intset.to_jsonable, as the reference builds
+    it, so a change to that form cannot show here: the golden bytes pin it."""
     steps = [e for make in GOLDEN_CASES.values() for e in make().derivation]
     rng = random.Random(45)
     pairs = 0
@@ -565,12 +572,16 @@ def test_step_text_is_json_dumps_of_the_step_at_every_indent():
             ),
         ),
     ]
-    for step in steps:
-        fresh = RuleApplication(step.rule, step.inputs, step.produced, step.details)
-        expected = json.dumps(engine.jsonable(step), indent=2)
+    sets = [intset.EMPTY, intset.ALL_INTEGERS, fin([-7, -3, 0]), fin([-(2**63), 0, 2**63 - 1])]
+    exprs = [CIRCLE, CircleBundle(2, -1), parse_expr("K(2;1) # K(3;-2)"), parse_expr("S1 x S(2)")]
+    values = sets + [exprs, tuple(exprs), exprs + sets + [0, "K(2;1)"], [CIRCLE, None, 2**64]]
+    for value in steps + values:
+        if type(value) is RuleApplication:  # written fresh, not from a kept text
+            value = RuleApplication(value.rule, value.inputs, value.produced, value.details)
+        expected = json.dumps(engine.jsonable(value), indent=2)
         for indent in (realiser._STEP_INDENT, "", "      "):
-            text = realiser._step_text(fresh, indent)
-            assert text == expected.replace("\n", "\n" + indent), step
+            text = realiser._json_text(value, indent)
+            assert text == expected.replace("\n", "\n" + indent), value
 
 
 def test_shared_steps_are_written_once(monkeypatch):
@@ -591,8 +602,7 @@ def test_shared_steps_are_written_once(monkeypatch):
 
 
 MEMO_LIMITS = {
-    dsl._parse_term: 4096,
-    dsl._printed: 4096,
+    dsl._box: 4096,
     realiser._geometric_blocks: 4096,
     realiser._sumset_construction: 64,
     realiser._geometric_construction: 64,
@@ -615,11 +625,10 @@ def test_pass_memos_are_bounded_and_emptied_with_the_cache():
     assert all(memo.cache_info().currsize == limit for memo, limit in MEMO_LIMITS.items())
     engine.clear_cache()
     assert not any(memo.cache_info().currsize for memo in MEMO_LIMITS)
-    long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TERM_TEXT_MAX
+    long_term = " # ".join(["K(2;3)"] * 1000)  # longer than dsl._TEXT_MAX
     assert print_expr(parse_expr(long_term)) == long_term
     assert parse_expr(long_term) == ConnSum({CircleBundle(2, 3): 1000})
-    assert dsl._parse_term.cache_info().currsize == 0
-    assert dsl._printed.cache_info().currsize == 1  # K(2;3)
+    assert dsl._box.cache_info().currsize == 1  # K(2;3)
 
 
 def test_the_memos_keep_recently_used_entries():
@@ -816,6 +825,53 @@ def test_decoded_certificates_are_the_memos_objects_by_their_texts(monkeypatch):
         assert edited.m is not cert.m and edited.m == dsl._parse_tokens(obj["M"])
         mismatches = check_certificate(edited).mismatches
         assert "source summands do not match the family multiplicities" in mismatches
+
+
+_FRESH_DECODE = r"""
+import json, sys
+from degreecalc import dsl, realiser
+
+texts = json.loads(open(sys.argv[1], encoding="utf-8").read())
+tokenized, tokenize = [], dsl._tokenize
+dsl._tokenize = lambda text: tokenized.append(text) or tokenize(text)
+runs = []
+for _ in range(2):
+    for text in texts:
+        realiser.certificate_from_json(text)
+    runs.append(tokenized[:])
+    tokenized.clear()
+print(json.dumps(runs))
+"""
+
+
+def test_a_fresh_process_tokenizes_each_atom_text_of_decoded_texts_once(tmp_path, monkeypatch):
+    """A process that decodes certificates another process wrote, as
+    ``degreecalc verify`` does, finds none of their texts in parse_expr's
+    table, and their M and N share term and atom texts: the table parses each
+    distinct text once, so each distinct atom text is tokenized once, and a
+    second decode of the same texts tokenizes nothing."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import workloads  # read only: the benchmark's seed-201 geometric inputs
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.json"))]
+    raws = workloads.make("geometric_roundtrip", 201).inputs()
+    texts += [certificate_to_json(realise_geometric(Geometric(raw))) for raw in raws]
+    assert len(texts) == 207
+    path = tmp_path / "texts.json"
+    path.write_text(json.dumps(texts), encoding="utf-8")
+    src = Path(__file__).parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_DECODE, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    first, second = json.loads(run.stdout)
+    assert first and all(dsl._ATOM_RE.fullmatch(text) for text in first)
+    assert len(first) == len(set(first))
+    assert second == []
 
 
 @pytest.mark.parametrize(

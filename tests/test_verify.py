@@ -351,6 +351,17 @@ class TestCheckCertificate:
         assert any("derivation is empty" in m or "made_up_rule" in m for m in report.mismatches)
 
     @pytest.mark.parametrize(
+        "steps",
+        [lambda trace: (s for s in trace), lambda trace: iter(engine.jsonable(trace))],
+        ids=["generator", "iterator_of_written_steps"],
+    )
+    def test_iterator_derivation_is_not_a_list_of_steps(self, steps):
+        cert = realise_geometric(Geometric((2,)))
+        derivation = steps(cert.derivation)
+        report = check_certificate(dataclasses.replace(cert, derivation=derivation))
+        assert report.mismatches == (f"derivation {derivation!r} is not a list of steps",)
+
+    @pytest.mark.parametrize(
         "cert",
         [
             realise_sumset(SumsetFamily((1, 3), (0, 2), (0, 1))),
